@@ -82,14 +82,19 @@ func (t SourceType) String() string {
 	return fmt.Sprintf("SOURCE_TYPE_UNKNOWN(%d)", int(t))
 }
 
+// sourceTypesByName inverts sourceTypeNames.
+var sourceTypesByName = func() map[string]SourceType {
+	m := make(map[string]SourceType, len(sourceTypeNames))
+	for t, name := range sourceTypeNames {
+		m[name] = t
+	}
+	return m
+}()
+
 // SourceTypeFromString reverses String; it reports false for unknown names.
 func SourceTypeFromString(s string) (SourceType, bool) {
-	for t, name := range sourceTypeNames {
-		if name == s {
-			return t, true
-		}
-	}
-	return SourceNone, false
+	t, ok := sourceTypesByName[s]
+	return t, ok
 }
 
 // Source identifies the entity that generated an event. When a new network

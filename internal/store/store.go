@@ -562,36 +562,12 @@ func encodeJSONL(w io.Writer, pages []PageRecord, locals []LocalRequest, netlogs
 // A decode error aborts the load mid-file: records before the corrupt
 // line are already appended. Callers that need all-or-nothing mounting
 // should load into a scratch store first.
+//
+// Records are committed in batches of up to 1024, each one commit (one
+// generation step, one WAL record when a log is attached), not one
+// commit per record; a retained NetLog capture ends its batch.
 func (s *Store) Load(r io.Reader) error {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<20))
-	line := 0
-	for dec.More() {
-		line++
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			return fmt.Errorf("store: record %d: %w", line, err)
-		}
-		switch env.T {
-		case "page":
-			if env.Page == nil {
-				return fmt.Errorf("store: record %d: page tag without payload", line)
-			}
-			s.AddPage(*env.Page)
-		case "local":
-			if env.Local == nil {
-				return fmt.Errorf("store: record %d: local tag without payload", line)
-			}
-			s.AddLocal(*env.Local)
-		case "netlog":
-			if env.NetLog == nil {
-				return fmt.Errorf("store: record %d: netlog tag without payload", line)
-			}
-			s.commit(nil, nil, []NetLogRecord{*env.NetLog})
-		default:
-			return fmt.Errorf("store: record %d: unknown tag %q", line, env.T)
-		}
-	}
-	return nil
+	return decodeJSONL(r, func(b *walPayload) { s.commit(b.Pages, b.Locals, b.NetLogs) })
 }
 
 // LoadFiles append-merges the stores saved at the given paths, in

@@ -2,13 +2,17 @@ package store
 
 import (
 	"bytes"
-
-	"github.com/knockandtalk/knockandtalk/internal/netlog"
+	"errors"
+	"io"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/knockandtalk/knockandtalk/internal/netlog"
 )
 
 func samplePage(domain string, rank int) PageRecord {
@@ -207,6 +211,73 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if err := New().Load(strings.NewReader("")); err != nil {
 		t.Errorf("empty input should be fine: %v", err)
+	}
+}
+
+// TestLoadFallbackHandOff pins Load's behaviour across the hand-off from
+// the fast path to encoding/json: the record numbering continues, the
+// records before a corrupt one are appended and none after it, and a
+// read error surfaces wrapped with its record number.
+func TestLoadFallbackHandOff(t *testing.T) {
+	s := New()
+	s.AddPage(samplePage("a.example", 1))
+	s.AddPage(samplePage("b.example", 2))
+	s.AddLocal(sampleLocal("a.example"))
+	var saved bytes.Buffer
+	if err := s.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		spaced  = `{"t": "page", "page": {"crawl":"c","os":"Windows","domain":"d.example","url":"http://d/"}}` + "\n"
+		fast    = `{"t":"page","page":{"crawl":"c","os":"Windows","domain":"e.example","url":"http://e/"}}` + "\n"
+		corrupt = `{"t":"page","page":{"crawl":"c","os":"Windows","domain":"f.example","rank":"7"}}` + "\n"
+		after   = `{"t":"page","page":{"crawl":"c","os":"Windows","domain":"g.example"}}` + "\n"
+	)
+	readErr := errors.New("connection reset")
+	cases := []struct {
+		name    string
+		in      io.Reader
+		pages   []string
+		wantErr string
+	}{
+		{
+			name:    "corrupt after hand-off",
+			in:      strings.NewReader(saved.String() + spaced + fast + corrupt + after),
+			pages:   []string{"a.example", "b.example", "d.example", "e.example"},
+			wantErr: "store: record 6: json: cannot unmarshal string into Go struct field PageRecord.page.rank of type int",
+		},
+		{
+			name:    "corrupt line is the hand-off",
+			in:      strings.NewReader(saved.String() + corrupt + fast),
+			pages:   []string{"a.example", "b.example"},
+			wantErr: "store: record 4: json: cannot unmarshal string into Go struct field PageRecord.page.rank of type int",
+		},
+		{
+			name:    "read error mid-line",
+			in:      io.MultiReader(strings.NewReader(saved.String()+fast[:20]), errReader{readErr}),
+			pages:   []string{"a.example", "b.example"},
+			wantErr: "store: record 4: connection reset",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := New()
+			err := got.Load(tc.in)
+			if err == nil || err.Error() != tc.wantErr {
+				t.Fatalf("Load error = %v, want %q", err, tc.wantErr)
+			}
+			if strings.Contains(tc.wantErr, readErr.Error()) && !errors.Is(err, readErr) {
+				t.Errorf("Load error %v does not wrap the read error", err)
+			}
+			var domains []string
+			for _, p := range got.Pages(nil) {
+				domains = append(domains, p.Domain)
+			}
+			sort.Strings(domains)
+			if !reflect.DeepEqual(domains, tc.pages) || got.NumLocals() != 1 {
+				t.Errorf("appended pages %v and %d locals, want %v and 1", domains, got.NumLocals(), tc.pages)
+			}
+		})
 	}
 }
 

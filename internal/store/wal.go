@@ -280,8 +280,8 @@ func loadSegment(st *Store, path string, want uint32) (int, error) {
 	if err := st.Load(io.TeeReader(f, crc)); err != nil {
 		return 0, err
 	}
-	// The JSON decoder reads to EOF deciding there are no more records,
-	// so the tee has seen the whole file by now.
+	// Load reads to EOF deciding there are no more records, so the tee
+	// has seen the whole file by now.
 	if got := crc.Sum32(); got != want {
 		return 0, fmt.Errorf("checksum mismatch: manifest %08x, file %08x", want, got)
 	}
@@ -293,12 +293,17 @@ func loadSegment(st *Store, path string, want uint32) (int, error) {
 // of the valid prefix, the number of records applied, and the tail
 // damage if any. Errors wrapping ErrTornFrame are recoverable (truncate
 // to the valid prefix and continue); anything else means r is not a WAL
-// at all. It never panics on arbitrary input.
+// at all. It never panics on arbitrary input. Payloads decode on the
+// fast path of decode.go, falling back to json.Unmarshal.
 func replayWAL(r io.Reader, apply func(walPayload)) (valid int64, records int, tailErr error) {
+	dec := newRecordDecoder()
 	valid, records, tailErr = ReplayFrames(r, walMagic, func(payload []byte) error {
-		var p walPayload
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return err
+		p, ok := dec.frame(payload)
+		if !ok {
+			p = walPayload{}
+			if err := json.Unmarshal(payload, &p); err != nil {
+				return err
+			}
 		}
 		if apply != nil {
 			apply(p)

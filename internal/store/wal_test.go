@@ -80,6 +80,56 @@ func TestWALOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALJournaledLoad seeds a durable store with Load, as knockserved
+// -wal-dir and a resumed durable campaign do: pages and locals are
+// journaled in batches, each retained capture in a frame of its own (so
+// frame size stays about one capture's), and the directory reopens to
+// the same store.
+func TestWALJournaledLoad(t *testing.T) {
+	src := walReference(1500)
+	for _, d := range []string{"site-001.example", "site-002.example"} {
+		if err := src.AddNetLog("top100k-2020", "Windows", d, sampleNetLog(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := saveBytes(t, src)
+
+	dir := t.TempDir()
+	st, l, _, err := Open(dir, LogOptions{CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Load(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var netlogs []int
+	if _, _, err := replayWAL(f, func(p walPayload) { netlogs = append(netlogs, len(p.NetLogs)) }); err != nil {
+		t.Fatal(err)
+	}
+	// 3000 pages and locals in batches of 1024; the first capture ends
+	// the third batch, the second is a batch of its own.
+	if fmt.Sprint(netlogs) != "[0 0 1 1]" {
+		t.Errorf("captures per WAL frame = %v, want [0 0 1 1]", netlogs)
+	}
+
+	back, l2, _, err := Open(dir, LogOptions{CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if !bytes.Equal(saveBytes(t, back), want) {
+		t.Error("reopened store's canonical Save differs from the loaded export")
+	}
+}
+
 // TestWALTornTailRecovery damages the log at assorted points — mid
 // record, flipped checksum byte, trailing garbage — and requires
 // recovery to replay exactly the intact prefix, matching the canonical

@@ -1,14 +1,11 @@
 // Storage-engine benchmark: the incremental index must beat a
-// from-scratch rebuild by at least 10x for single-visit ingests, and
-// the WAL must sustain append and recovery-replay rates that keep the
-// durability path off the crawl's critical path. The bench smoke emits
-// BENCH_store.json so all three numbers are tracked run over run.
+// from-scratch rebuild by at least 10x for single-visit ingests. WAL
+// append and recovery are measured end to end by knockbench's ingest
+// and recover workloads.
 package knockandtalk_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"testing"
 	"time"
@@ -16,28 +13,6 @@ import (
 	"github.com/knockandtalk/knockandtalk/internal/pipeline"
 	"github.com/knockandtalk/knockandtalk/internal/store"
 )
-
-// storeBenchResult is the BENCH_store.json schema.
-type storeBenchResult struct {
-	Pages  int `json:"pages"`
-	Locals int `json:"locals"`
-
-	ColdRebuildNsOp float64 `json:"cold_rebuild_ns_op"`
-	DeltaApplyNsOp  float64 `json:"delta_apply_ns_op"`
-	DeltaSpeedupX   float64 `json:"delta_speedup_x"`
-
-	WALRecords          int     `json:"wal_records"`
-	WALBytes            int64   `json:"wal_bytes"`
-	WALAppendRecsPerSec float64 `json:"wal_append_records_per_sec"`
-	WALAppendMBPerSec   float64 `json:"wal_append_mb_per_sec"`
-
-	// RecoveryWALCommits counts replayed WAL records (one per commit,
-	// each holding a whole visit), not store records.
-	RecoveryWALCommits int     `json:"recovery_wal_commits"`
-	RecoveryReplayMs   float64 `json:"recovery_replay_ms"`
-	RecoveryRecsPerSec float64 `json:"recovery_records_per_sec"`
-	RecoveryTruncated  bool    `json:"recovery_truncated"`
-}
 
 // benchVisit is one synthetic visit's records: a page plus two local
 // probes, the shape a live ingest commits.
@@ -72,21 +47,17 @@ func medianDuration(ds []time.Duration) time.Duration {
 	return m
 }
 
-// BenchmarkStoreEngine measures the three legs of the storage engine
-// over the golden campaign corpus and writes BENCH_store.json:
+// BenchmarkStoreEngine compares, over the golden campaign corpus:
 //
 //   - cold rebuild: a fresh SiteIndex materialized from scratch after a
 //     single-visit commit (what every query paid before the delta path);
 //   - delta apply: the same commit absorbed by a warm index through
-//     DeltaSince (what queries pay now) — gated at >= 10x faster;
-//   - WAL append throughput and recovery replay rate for the same
-//     visit stream.
+//     DeltaSince (what queries pay now) — gated at >= 10x faster.
 //
 // Cold and delta rounds alternate over identical visit shapes so
 // machine drift cancels, and each leg keeps its median.
 func BenchmarkStoreEngine(b *testing.B) {
 	st := goldenStore(b)
-	res := storeBenchResult{Pages: st.NumPages(), Locals: st.NumLocals()}
 
 	const rounds = 32
 	visitN := 0
@@ -101,6 +72,7 @@ func BenchmarkStoreEngine(b *testing.B) {
 		st.AddBatch(batch)
 	}
 
+	var cold, delta time.Duration
 	for i := 0; i < b.N; i++ {
 		// Warm incremental index: materialized once, then kept current
 		// by delta applies for the rest of the measurement.
@@ -116,88 +88,20 @@ func BenchmarkStoreEngine(b *testing.B) {
 
 			commitVisit()
 			start = time.Now()
-			cold := pipeline.NewIndex(st)
-			cold.CrawlTable() // full from-scratch materialization
+			fresh := pipeline.NewIndex(st)
+			fresh.CrawlTable() // full from-scratch materialization
 			coldDs = append(coldDs, time.Since(start))
 		}
-		res.ColdRebuildNsOp = float64(medianDuration(coldDs).Nanoseconds())
-		res.DeltaApplyNsOp = float64(medianDuration(deltaDs).Nanoseconds())
+		cold, delta = medianDuration(coldDs), medianDuration(deltaDs)
 	}
-	res.DeltaSpeedupX = res.ColdRebuildNsOp / res.DeltaApplyNsOp
+	speedup := float64(cold) / float64(delta)
 
-	// WAL append throughput: journal a visit stream through a fresh
-	// durable directory, ending on the Checkpoint that makes it
-	// crash-safe. Compaction is disabled so the replay leg below
-	// measures the pure WAL path rather than a segment load.
-	const walVisits = 2000
-	dir := b.TempDir()
-	wst, lg, _, err := store.Open(dir, store.LogOptions{CompactBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := time.Now()
-	for v := 0; v < walVisits; v++ {
-		p, ls := benchVisit(v)
-		batch := &store.Batch{}
-		batch.AddPage(p)
-		for _, l := range ls {
-			batch.AddLocal(l)
-		}
-		wst.AddBatch(batch)
-	}
-	if err := lg.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	appendD := time.Since(start)
-	res.WALRecords = wst.NumPages() + wst.NumLocals()
-	res.WALBytes = lg.WALBytes()
-	res.WALAppendRecsPerSec = float64(res.WALRecords) / appendD.Seconds()
-	res.WALAppendMBPerSec = float64(res.WALBytes) / (1 << 20) / appendD.Seconds()
-	if err := lg.Close(); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(speedup, "delta-speedup-x")
+	fmt.Printf("store engine: cold rebuild %.2fms, delta apply %.1fµs (%.0fx)\n",
+		cold.Seconds()*1e3, delta.Seconds()*1e6, speedup)
 
-	// Recovery replay: reopen the directory cold, best of three.
-	replayBest := time.Duration(1 << 62)
-	for t := 0; t < 3; t++ {
-		start := time.Now()
-		rst, rlg, rec, err := store.Open(dir, store.LogOptions{CompactBytes: -1})
-		d := time.Since(start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := rst.NumPages() + rst.NumLocals(); got != res.WALRecords {
-			b.Fatalf("recovery replayed %d records, appended %d", got, res.WALRecords)
-		}
-		if d < replayBest {
-			replayBest = d
-		}
-		res.RecoveryWALCommits = rec.SegmentRecords + rec.WALRecords
-		res.RecoveryTruncated = rec.Truncated
-		if err := rlg.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	res.RecoveryReplayMs = replayBest.Seconds() * 1e3
-	res.RecoveryRecsPerSec = float64(res.WALRecords) / replayBest.Seconds()
-
-	b.ReportMetric(res.DeltaSpeedupX, "delta-speedup-x")
-	b.ReportMetric(res.WALAppendRecsPerSec, "wal-recs/sec")
-	b.ReportMetric(res.RecoveryReplayMs, "recovery-ms")
-
-	raw, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_store.json", append(raw, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("store engine: cold rebuild %.2fms, delta apply %.1fµs (%.0fx), wal append %.0f recs/sec, recovery %.1fms\n",
-		res.ColdRebuildNsOp/1e6, res.DeltaApplyNsOp/1e3, res.DeltaSpeedupX,
-		res.WALAppendRecsPerSec, res.RecoveryReplayMs)
-
-	if res.DeltaSpeedupX < 10 {
-		b.Fatalf("delta apply is only %.1fx faster than a cold rebuild (need >= 10x): cold %.0fns, delta %.0fns",
-			res.DeltaSpeedupX, res.ColdRebuildNsOp, res.DeltaApplyNsOp)
+	if speedup < 10 {
+		b.Fatalf("delta apply is only %.1fx faster than a cold rebuild (need >= 10x): cold %v, delta %v",
+			speedup, cold, delta)
 	}
 }

@@ -15,9 +15,10 @@
 // Site lookups self-seed from the server: the harness lists distinct
 // domains via GET /v1/pages and rotates /v1/site/{domain} requests
 // across them, so the mix exercises the real corpus rather than a
-// synthetic key space. After the runs it scrapes the server's /metrics
-// query section, putting client-observed (queueing included) and
-// server-observed (handler-only) tails side by side in the report.
+// synthetic key space. After the runs it scrapes the server's
+// Prometheus /metrics and rebuilds the serve_query_ns histograms,
+// putting client-observed (queueing included) and server-observed
+// (handler-only) tails side by side in the report.
 //
 // With -slo-p99 set, the process exits nonzero when any endpoint's
 // corrected p99 exceeds the target — the CI regression gate.
@@ -41,6 +42,7 @@ import (
 
 	"github.com/knockandtalk/knockandtalk/internal/health"
 	"github.com/knockandtalk/knockandtalk/internal/loadgen"
+	"github.com/knockandtalk/knockandtalk/internal/serve"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 )
 
@@ -166,9 +168,9 @@ func main() {
 	}
 
 	// The server-observed half: knockserved's serve_query_ns quantiles
-	// for the same window, scraped from its /metrics query section.
-	// Best-effort — an older server without the section just yields an
-	// empty table.
+	// for the same window, scraped from its Prometheus /metrics.
+	// Best-effort: a scrape that fails is logged and leaves the table
+	// empty.
 	if server, err := scrapeServerStats(baseURL, *timeout); err != nil {
 		logger.Warn("scraping server /metrics", "err", err)
 	} else {
@@ -337,8 +339,8 @@ func buildMix(spec, base string, domains []string, ingestBody []byte) ([]loadgen
 	return eps, nil
 }
 
-// scrapeServerStats pulls the query section out of knockserved's
-// /metrics JSON snapshot.
+// scrapeServerStats reads knockserved's Prometheus /metrics and
+// summarizes its serve_query_ns series per endpoint.
 func scrapeServerStats(base string, timeout time.Duration) (map[string]loadgen.ServerStats, error) {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(base + "/metrics")
@@ -349,13 +351,44 @@ func scrapeServerStats(base string, timeout time.Duration) (map[string]loadgen.S
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
 	}
-	var snap struct {
-		Query map[string]loadgen.ServerStats `json:"query"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	doc, err := telemetry.ParsePrometheus(resp.Body)
+	if err != nil {
 		return nil, err
 	}
-	return snap.Query, nil
+	series, err := doc.Histograms(serve.MetricQueryNS)
+	if err != nil {
+		return nil, err
+	}
+	return serverStats(series), nil
+}
+
+// serverStats merges each endpoint's per-cache-outcome latency series
+// into one distribution and reports its request count, the responses
+// per cache outcome, and the interpolated p50 and p99.
+func serverStats(series []telemetry.LabeledHistogram) map[string]loadgen.ServerStats {
+	merged := make(map[string]telemetry.HistogramSnapshot)
+	cache := make(map[string]map[string]uint64)
+	for _, lh := range series {
+		endpoint := lh.Labels["endpoint"]
+		if endpoint == "" || lh.Hist.Count == 0 {
+			continue
+		}
+		merged[endpoint] = merged[endpoint].Merge(lh.Hist)
+		if cache[endpoint] == nil {
+			cache[endpoint] = make(map[string]uint64)
+		}
+		cache[endpoint][lh.Labels["cache"]] += lh.Hist.Count
+	}
+	out := make(map[string]loadgen.ServerStats, len(merged))
+	for endpoint, hist := range merged {
+		out[endpoint] = loadgen.ServerStats{
+			Requests: hist.Count,
+			Cache:    cache[endpoint],
+			P50NS:    hist.Quantile(0.50),
+			P99NS:    hist.Quantile(0.99),
+		}
+	}
+	return out
 }
 
 func fatal(msg string, args ...any) {

@@ -16,12 +16,11 @@
 //	GET  /v1/site/{domain}                            per-site report + verdicts
 //	GET  /v1/summary                                  corpus summary
 //	POST /v1/ingest?domain=&os=&crawl=&...            NetLog JSONL stream in, detections out
-//	GET  /metrics                                     operational counters (JSON)
+//	GET  /metrics                                     the metrics registry (Prometheus text)
 //
 // The -debug-addr listener additionally carries the operations plane:
-// /status (live progress + alerts), /healthz (readiness), /metrics
-// (Prometheus text exposition), /metrics.json (raw registry snapshot),
-// pprof, and expvar.
+// /status (live progress + alerts), /healthz (readiness), the same
+// Prometheus /metrics, pprof, and expvar's standard variables.
 package main
 
 import (
@@ -237,11 +236,9 @@ func main() {
 
 // serveDebug exposes the operational surface on its own listener,
 // separate from the service planes: the health endpoints (/status,
-// /healthz, Prometheus /metrics), the raw registry snapshot as JSON
-// (/metrics.json), pprof profiles, and expvar (including the registry
-// published as "telemetry").
+// /healthz, Prometheus /metrics), pprof profiles, and expvar's
+// standard variables (/debug/vars).
 func serveDebug(addr string, tracker *health.Tracker, reg *telemetry.Registry) {
-	expvar.Publish("telemetry", expvar.Func(func() any { return reg.Snapshot() }))
 	mux := http.NewServeMux()
 	health.Mount(mux, tracker, reg)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -250,10 +247,6 @@ func serveDebug(addr string, tracker *health.Tracker, reg *telemetry.Registry) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-	})
 	logger.Info("debug listener up", "addr", addr)
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		logger.Error("debug listener failed", "addr", addr, "err", err)

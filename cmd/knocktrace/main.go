@@ -19,9 +19,9 @@
 //	knocktrace -assemble -waterfall top100k-2020/L/0000 coord.trace.jsonl worker-*.jsonl
 //	knocktrace -trace 4bf92f35 coord.trace.jsonl worker-*.jsonl   # one causal chain, by ID prefix
 //
-// The -busy output renders busy seconds exactly as knockserved's
-// /metrics pipeline section does, so the two agree byte-for-byte for
-// identical work.
+// The -busy output renders busy seconds from the same nanosecond totals
+// knockserved's /metrics reports as pipeline_stage_busy_ns, so the two
+// agree exactly for identical work.
 package main
 
 import (
@@ -134,9 +134,10 @@ func printSummary(w io.Writer, visits []telemetry.VisitRecord) {
 	}
 }
 
-// printBusy renders per-stage busy seconds with the same formatting
-// /metrics uses for pipeline busy_seconds, so a trace file reproduces
-// the serving layer's numbers exactly.
+// printBusy renders per-stage busy seconds, converted from the same
+// nanosecond totals a process's Prometheus /metrics carries as
+// pipeline_stage_busy_ns, so a trace file reproduces the serving
+// layer's busy time exactly.
 func printBusy(w io.Writer, visits []telemetry.VisitRecord) {
 	s := telemetry.Summarize(visits)
 	busy := s.BusySeconds()

@@ -36,7 +36,14 @@ func Mount(mux *http.ServeMux, t *Tracker, reg *telemetry.Registry) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte("not ready\n"))
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /metrics", MetricsHandler(reg))
+}
+
+// MetricsHandler serves reg in Prometheus text exposition format: the
+// one metrics rendering every process exposes, on the health plane and
+// on knockserved's API plane alike.
+func MetricsHandler(reg *telemetry.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

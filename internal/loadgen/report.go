@@ -116,7 +116,7 @@ func statsFrom(h telemetry.HistogramSnapshot) EndpointStats {
 
 // ServerStats is the server-observed half of the comparison: one query
 // endpoint's serve_query_ns distribution as scraped from knockserved's
-// /metrics query section after the run.
+// Prometheus /metrics after the run.
 type ServerStats struct {
 	Requests uint64            `json:"requests"`
 	Cache    map[string]uint64 `json:"cache,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"github.com/knockandtalk/knockandtalk/internal/analysis"
 	"github.com/knockandtalk/knockandtalk/internal/classify"
 	"github.com/knockandtalk/knockandtalk/internal/groundtruth"
+	"github.com/knockandtalk/knockandtalk/internal/pipeline"
 	"github.com/knockandtalk/knockandtalk/internal/store"
 )
 
@@ -63,14 +64,18 @@ type JSONSummary struct {
 	Locals  int                `json:"locals"`
 	NetLogs int                `json:"netlogs"`
 	Crawls  []JSONCrawlSummary `json:"crawls"`
+	// UnknownOSLabels tallies records whose OS label maps to no known
+	// platform; they are excluded from every per-OS aggregate above.
+	UnknownOSLabels map[string]int `json:"unknown_os_labels,omitempty"`
 }
 
 // SummaryJSON computes the corpus summary from stored telemetry.
 func SummaryJSON(st *store.Store) JSONSummary {
 	out := JSONSummary{
-		Pages:   st.NumPages(),
-		Locals:  st.NumLocals(),
-		NetLogs: st.NumNetLogs(),
+		Pages:           st.NumPages(),
+		Locals:          st.NumLocals(),
+		NetLogs:         st.NumNetLogs(),
+		UnknownOSLabels: pipeline.IndexFor(st).UnknownOSLabels(),
 	}
 	// Crawl set: whatever the mounted stores hold — committed campaign
 	// crawls and live-ingested ones alike.

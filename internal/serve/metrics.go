@@ -4,17 +4,18 @@ import (
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/pipeline"
+	"github.com/knockandtalk/knockandtalk/internal/serve/queryengine"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 )
 
 // Registry metric families the service maintains. Per-path and
-// per-plane counters are labeled; /metrics renders the whole set as
-// MetricsSnapshot, so the wire shape is a registry view.
+// per-plane counters are labeled; GET /metrics renders the registry in
+// Prometheus text, so the wire shape is the registry itself.
 const (
-	MetricRequests         = "serve_requests_total"   // label: path
-	MetricRejected         = "serve_rejected_total"   // label: plane
-	MetricInflight         = "serve_inflight"         // gauge, label: plane
-	MetricCacheHits        = "serve_cache_hits_total" // mirrored from the cache
+	MetricRequests         = "serve_requests_total" // label: path
+	MetricRejected         = "serve_rejected_total" // label: plane
+	MetricInflight         = "serve_inflight"       // gauge, label: plane
+	MetricCacheHits        = "serve_cache_hits_total"
 	MetricCacheMisses      = "serve_cache_misses_total"
 	MetricCacheRevalidated = "serve_cache_revalidated_total" // hits fast-forwarded across generations
 	MetricIngestUploads    = "serve_ingest_uploads_total"
@@ -37,8 +38,7 @@ const (
 // handles are pre-resolved; per-label counters (path, plane, class)
 // resolve through the registry's read-locked fast path.
 type metrics struct {
-	start time.Time
-	reg   *telemetry.Registry
+	reg *telemetry.Registry
 
 	hits, misses    *telemetry.Counter
 	reval           *telemetry.Counter
@@ -56,7 +56,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		reg = telemetry.NewRegistry()
 	}
 	return &metrics{
-		start:           time.Now(),
 		reg:             reg,
 		hits:            reg.Counter(MetricCacheHits),
 		misses:          reg.Counter(MetricCacheMisses),
@@ -102,16 +101,16 @@ func (m *metrics) rejected(plane string) {
 	m.reg.Counter(MetricRejected, "plane", plane).Inc()
 }
 
-func (m *metrics) cacheHit()  { m.hits.Inc() }
-func (m *metrics) cacheMiss() { m.misses.Inc() }
-
-// revalidated syncs the registry's revalidation counter to the cache's
-// cumulative total (the cache counts internally; the registry mirrors).
-func (m *metrics) revalidated(total uint64) {
-	if cur := m.reval.Value(); total > cur {
-		m.reval.Add(total - cur)
+// cacheHit counts a response served from the cache; a revalidated
+// entry counts as a hit and as a revalidation.
+func (m *metrics) cacheHit(o queryengine.Outcome) {
+	m.hits.Inc()
+	if o == queryengine.Revalidated {
+		m.reval.Inc()
 	}
 }
+
+func (m *metrics) cacheMiss() { m.misses.Inc() }
 
 func (m *metrics) ingested(events, detections int, elapsed time.Duration, classes map[string]int) {
 	m.uploads.Inc()
@@ -125,141 +124,3 @@ func (m *metrics) ingested(events, detections int, elapsed time.Duration, classe
 }
 
 func (m *metrics) ingestFailed() { m.failed.Inc() }
-
-// MetricsSnapshot is the wire form of /metrics.
-type MetricsSnapshot struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Requests      map[string]uint64 `json:"requests,omitempty"`
-	Rejected      map[string]uint64 `json:"rejected_429,omitempty"`
-	Cache         CacheMetrics      `json:"cache"`
-	Ingest        IngestMetrics     `json:"ingest"`
-	// Pipeline reports ingest-plane stage execution, keyed by stage
-	// name (parse, detect, infer, classify, commit, netlog).
-	Pipeline map[string]StageMetrics `json:"pipeline,omitempty"`
-	// Query reports server-observed query-plane latency per endpoint
-	// (route pattern), aggregated across cache outcomes, with the
-	// per-outcome response counts. Omitted until the first answered
-	// query so an idle snapshot's wire shape is unchanged.
-	Query map[string]QueryMetrics `json:"query,omitempty"`
-	// UnknownOSLabels tallies store records whose OS label maps to no
-	// known platform (they are excluded from per-OS aggregates).
-	UnknownOSLabels map[string]int `json:"unknown_os_labels,omitempty"`
-}
-
-// QueryMetrics reports one query endpoint's server-observed latency
-// distribution (interpolated quantiles over the log-scale histogram)
-// and the cache outcomes that produced its responses.
-type QueryMetrics struct {
-	Requests uint64            `json:"requests"`
-	Cache    map[string]uint64 `json:"cache,omitempty"` // hit/miss/revalidated → responses
-	P50NS    uint64            `json:"p50_ns"`
-	P90NS    uint64            `json:"p90_ns"`
-	P99NS    uint64            `json:"p99_ns"`
-	P999NS   uint64            `json:"p999_ns"`
-}
-
-// StageMetrics reports one pipeline stage's cumulative execution.
-type StageMetrics struct {
-	Runs        uint64  `json:"runs"`
-	Items       uint64  `json:"items"`
-	BusySeconds float64 `json:"busy_seconds"`
-}
-
-// CacheMetrics reports query-cache effectiveness. Revalidated counts
-// hits served by fast-forwarding an entry across store generations its
-// scope did not intersect — responses the wipe-on-bump scheme would
-// have recomputed.
-type CacheMetrics struct {
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	HitRate     float64 `json:"hit_rate"`
-	Revalidated uint64  `json:"revalidated,omitempty"`
-}
-
-// IngestMetrics reports ingest-plane throughput.
-type IngestMetrics struct {
-	Uploads      uint64            `json:"uploads"`
-	Failed       uint64            `json:"failed,omitempty"`
-	Events       uint64            `json:"events"`
-	Detections   uint64            `json:"detections"`
-	EventsPerSec float64           `json:"events_per_sec"`
-	ByClass      map[string]uint64 `json:"detections_by_class,omitempty"`
-	BusySeconds  float64           `json:"busy_seconds"`
-}
-
-// snapshot renders the registry's serve-facing families as the
-// /metrics wire form. Cache hit/miss totals come from the response
-// cache itself so the rate reflects every lookup. Requests and
-// Rejected are nil (omitted from JSON) until the first request or
-// rejection — an idle server's snapshot does not fabricate empty maps.
-func (m *metrics) snapshot(cacheHits, cacheMisses, cacheRevalidated uint64) MetricsSnapshot {
-	snap := MetricsSnapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests:      m.reg.CounterLabels(MetricRequests, "path"),
-		Rejected:      m.reg.CounterLabels(MetricRejected, "plane"),
-		Cache:         CacheMetrics{Hits: cacheHits, Misses: cacheMisses, Revalidated: cacheRevalidated},
-	}
-	if total := cacheHits + cacheMisses; total > 0 {
-		snap.Cache.HitRate = float64(cacheHits) / float64(total)
-	}
-	if runs := m.reg.CounterLabels(pipeline.MetricStageRuns, "stage"); len(runs) > 0 {
-		items := m.reg.CounterLabels(pipeline.MetricStageItems, "stage")
-		busy := m.reg.CounterLabels(pipeline.MetricStageBusyNS, "stage")
-		for stage, n := range runs {
-			// Pre-resolved handles mint every stage's counters at
-			// registration; only stages that actually ran are reported.
-			if n == 0 {
-				continue
-			}
-			if snap.Pipeline == nil {
-				snap.Pipeline = make(map[string]StageMetrics, len(runs))
-			}
-			snap.Pipeline[stage] = StageMetrics{
-				Runs:        n,
-				Items:       items[stage],
-				BusySeconds: time.Duration(busy[stage]).Seconds(),
-			}
-		}
-	}
-	if fam := m.reg.HistogramFamily(MetricQueryNS); len(fam) > 0 {
-		merged := make(map[string]telemetry.HistogramSnapshot)
-		counts := make(map[string]map[string]uint64)
-		for _, series := range fam {
-			endpoint, cache := series.Labels["endpoint"], series.Labels["cache"]
-			if endpoint == "" || series.Hist.Count == 0 {
-				continue
-			}
-			merged[endpoint] = merged[endpoint].Merge(series.Hist)
-			if counts[endpoint] == nil {
-				counts[endpoint] = make(map[string]uint64)
-			}
-			counts[endpoint][cache] += series.Hist.Count
-		}
-		for endpoint, hist := range merged {
-			if snap.Query == nil {
-				snap.Query = make(map[string]QueryMetrics, len(merged))
-			}
-			snap.Query[endpoint] = QueryMetrics{
-				Requests: hist.Count,
-				Cache:    counts[endpoint],
-				P50NS:    hist.Quantile(0.50),
-				P90NS:    hist.Quantile(0.90),
-				P99NS:    hist.Quantile(0.99),
-				P999NS:   hist.Quantile(0.999),
-			}
-		}
-	}
-	busy := time.Duration(m.ingestNS.Value()).Seconds()
-	snap.Ingest = IngestMetrics{
-		Uploads:     m.uploads.Value(),
-		Failed:      m.failed.Value(),
-		Events:      m.events.Value(),
-		Detections:  m.found.Value(),
-		ByClass:     m.reg.CounterLabels(MetricIngestByClass, "class"),
-		BusySeconds: busy,
-	}
-	if busy > 0 {
-		snap.Ingest.EventsPerSec = float64(snap.Ingest.Events) / busy
-	}
-	return snap
-}

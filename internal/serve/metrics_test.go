@@ -2,59 +2,25 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/knockandtalk/knockandtalk/internal/pipeline"
 	"github.com/knockandtalk/knockandtalk/internal/serve/queryengine"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 )
 
-// TestEmptyServerSnapshotOmitsRequestMaps pins the wire-shape fix: a
-// server that has answered nothing must not render "requests" or
-// "rejected_429" as empty objects — the fields are omitted entirely
-// until the first request or rejection mints a counter.
-func TestEmptyServerSnapshotOmitsRequestMaps(t *testing.T) {
-	srv := New(queryengine.New(serveStore(t)), Options{})
-	raw, err := json.Marshal(snapshotNow(srv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"requests"`, `"rejected_429"`, `"pipeline"`, `"query"`} {
-		if bytes.Contains(raw, []byte(key)) {
-			t.Errorf("empty-server snapshot renders %s: %s", key, raw)
-		}
-	}
-	// Scalar sections stay present even when idle.
-	for _, key := range []string{`"uptime_seconds"`, `"cache"`, `"ingest"`} {
-		if !bytes.Contains(raw, []byte(key)) {
-			t.Errorf("empty-server snapshot lost %s: %s", key, raw)
-		}
-	}
-
-	// The first request makes the map appear with that path only.
-	ts := newHTTPTestServer(t, srv)
-	var v any
-	getJSON(t, ts+"/v1/summary", &v)
-	snap := snapshotNow(srv)
-	if snap.Requests["/v1/summary"] != 1 || len(snap.Requests) != 1 {
-		t.Fatalf("requests after one call: %+v", snap.Requests)
-	}
-	if snap.Rejected != nil {
-		t.Fatalf("no rejection occurred, got %+v", snap.Rejected)
-	}
-}
-
 // TestIngestTraceAgreesWithMetrics is the acceptance check of the
 // telemetry subsystem: aggregating per-stage busy time from the trace
 // file alone must reproduce exactly what /metrics reports for the same
-// ingests — byte-for-byte once both render through the same rounding.
+// ingests, as pipeline_stage_busy_ns, to the nanosecond.
 func TestIngestTraceAgreesWithMetrics(t *testing.T) {
 	var traceBuf bytes.Buffer
 	tr := telemetry.NewTracer(&traceBuf, telemetry.TracerOptions{})
@@ -94,24 +60,31 @@ func TestIngestTraceAgreesWithMetrics(t *testing.T) {
 	if len(visits) != 3 {
 		t.Fatalf("trace records = %d, want 3", len(visits))
 	}
-	fromTrace := telemetry.Summarize(visits).BusySeconds()
+	fromTrace := telemetry.Summarize(visits).Stages
 
-	var m MetricsSnapshot
-	getJSON(t, ts+"/metrics", &m)
-	if len(m.Pipeline) == 0 {
+	doc := scrapeMetrics(t, ts)
+	served := map[string]uint64{}
+	for _, s := range doc.Families[pipeline.MetricStageRuns].Series {
+		// Pre-resolved handles mint every stage's counters at
+		// registration; only stages that actually ran are compared.
+		if s.Raw != "0" {
+			stage := s.Labels["stage"]
+			served[stage] = promCounter(t, doc, pipeline.MetricStageBusyNS, "stage", stage)
+		}
+	}
+	if len(served) == 0 {
 		t.Fatal("/metrics reports no pipeline stages after ingest")
 	}
-	if len(fromTrace) != len(m.Pipeline) {
-		t.Fatalf("stage sets differ: trace %v, /metrics %v", keys(fromTrace), m.Pipeline)
+	if len(fromTrace) != len(served) {
+		t.Fatalf("stage sets differ: trace %v, /metrics %v", fromTrace, served)
 	}
-	for stage, traceBusy := range fromTrace {
-		served, ok := m.Pipeline[stage]
+	for stage, st := range fromTrace {
+		busy, ok := served[stage]
 		if !ok {
-			t.Fatalf("stage %q in trace but not in /metrics (%v)", stage, m.Pipeline)
+			t.Fatalf("stage %q in trace but not in /metrics (%v)", stage, served)
 		}
-		got, want := fmt.Sprintf("%.9f", traceBusy), fmt.Sprintf("%.9f", served.BusySeconds)
-		if got != want {
-			t.Errorf("stage %q busy seconds: trace %s, /metrics %s", stage, got, want)
+		if busy != uint64(st.BusyNS) {
+			t.Errorf("stage %q busy ns: trace %d, /metrics %d", stage, st.BusyNS, busy)
 		}
 	}
 	// The retained capture's netlog stage made it into both views.
@@ -120,16 +93,15 @@ func TestIngestTraceAgreesWithMetrics(t *testing.T) {
 	}
 	// Item counts agree as well: the detect stage carried 14 findings
 	// per upload.
-	if m.Pipeline["detect"].Items != 42 {
-		t.Fatalf("detect items = %d, want 42", m.Pipeline["detect"].Items)
+	if n := promCounter(t, doc, pipeline.MetricStageItems, "stage", "detect"); n != 42 {
+		t.Fatalf("detect items = %d, want 42", n)
 	}
 }
 
 // TestQueryLatencyHistograms pins the query plane's server-observed
 // latency surface: per-endpoint serve_query_ns series labeled by the
 // route pattern (never the raw /v1/site/<domain> path) and the cache
-// outcome, aggregated into the snapshot's query section, and carried
-// through the Prometheus exposition.
+// outcome, carried through the Prometheus exposition.
 func TestQueryLatencyHistograms(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := New(queryengine.New(serveStore(t)), Options{Registry: reg})
@@ -140,28 +112,23 @@ func TestQueryLatencyHistograms(t *testing.T) {
 	getJSON(t, ts+"/v1/summary", &v) // hit
 	getJSON(t, ts+"/v1/site/scanner.example", &v)
 
-	var m MetricsSnapshot
-	getJSON(t, ts+"/metrics", &m)
-	sum, ok := m.Query["/v1/summary"]
+	query := queryHists(t, ts)
+	if sum := query["/v1/summary"]; sum["miss"].Count != 1 || sum["hit"].Count != 1 || len(sum) != 2 {
+		t.Fatalf("summary query series = %+v", sum)
+	}
+	if hit := query["/v1/summary"]["hit"]; hit.Quantile(0.5) == 0 || hit.Quantile(0.999) < hit.Quantile(0.5) {
+		t.Fatalf("summary hit quantiles implausible: %+v", hit)
+	}
+	site, ok := query["/v1/site/{domain}"]
 	if !ok {
-		t.Fatalf("query section missing /v1/summary: %+v", m.Query)
+		t.Fatalf("site latency must be keyed by route pattern, got %v", query)
 	}
-	if sum.Requests != 2 || sum.Cache["miss"] != 1 || sum.Cache["hit"] != 1 {
-		t.Fatalf("summary query metrics = %+v", sum)
+	if site["miss"].Count != 1 || len(site) != 1 {
+		t.Fatalf("site query series = %+v", site)
 	}
-	if sum.P50NS == 0 || sum.P999NS < sum.P50NS {
-		t.Fatalf("summary quantiles implausible: %+v", sum)
-	}
-	site, ok := m.Query["/v1/site/{domain}"]
-	if !ok {
-		t.Fatalf("site latency must be keyed by route pattern, got %v", m.Query)
-	}
-	if site.Requests != 1 || site.Cache["miss"] != 1 {
-		t.Fatalf("site query metrics = %+v", site)
-	}
-	for key := range m.Query {
-		if strings.Contains(key, "scanner.example") {
-			t.Fatalf("raw path leaked into endpoint label: %v", m.Query)
+	for endpoint := range query {
+		if strings.Contains(endpoint, "scanner.example") {
+			t.Fatalf("raw path leaked into endpoint label: %v", query)
 		}
 	}
 
@@ -182,39 +149,35 @@ func TestQueryLatencyHistograms(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 	getJSON(t, ts+"/v1/site/scanner.example", &v)
-	getJSON(t, ts+"/metrics", &m)
-	if got := m.Query["/v1/site/{domain}"].Cache["revalidated"]; got != 1 {
-		t.Fatalf("site revalidated count = %d, want 1 (%+v)", got, m.Query["/v1/site/{domain}"])
-	}
-
-	var prom strings.Builder
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"# TYPE serve_query_ns histogram",
-		`serve_query_ns_bucket{cache="hit",endpoint="/v1/summary",le="`,
-		`serve_query_ns_count{cache="revalidated",endpoint="/v1/site/{domain}"}`,
-	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Errorf("Prometheus exposition missing %q", want)
-		}
+	if got := queryHists(t, ts)["/v1/site/{domain}"]["revalidated"].Count; got != 1 {
+		t.Fatalf("site revalidated count = %d, want 1", got)
 	}
 }
 
-func keys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// queryHists scrapes /metrics and rebuilds serve_query_ns, keyed by
+// endpoint and then cache outcome.
+func queryHists(t testing.TB, base string) map[string]map[string]telemetry.HistogramSnapshot {
+	t.Helper()
+	series, err := scrapeMetrics(t, base).Histograms(MetricQueryNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]map[string]telemetry.HistogramSnapshot{}
+	for _, lh := range series {
+		ep := lh.Labels["endpoint"]
+		if out[ep] == nil {
+			out[ep] = map[string]telemetry.HistogramSnapshot{}
+		}
+		out[ep][lh.Labels["cache"]] = lh.Hist
 	}
 	return out
 }
 
-// TestMetricsSnapshotUnderLoad hammers snapshotting — HTTP /metrics,
-// the in-process snapshot call, and whole-registry snapshots — while
-// ingest uploads and query traffic run. Under -race this is the
-// registry's serve-side data-race check.
-func TestMetricsSnapshotUnderLoad(t *testing.T) {
+// TestMetricsScrapeUnderLoad hammers scraping, over HTTP /metrics and
+// by rendering the registry in process, while ingest uploads and query
+// traffic run. Every scrape must pass the strict parser. Under -race
+// this is the registry's serve-side data-race check.
+func TestMetricsScrapeUnderLoad(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := New(queryengine.New(serveStore(t)), Options{
 		Registry: reg, QueryConcurrency: 32, IngestConcurrency: 4,
@@ -263,11 +226,13 @@ func TestMetricsSnapshotUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < 20; j++ {
-			var m MetricsSnapshot
-			getJSON(t, ts+"/metrics", &m)
-			_ = snapshotNow(srv)
-			var buf strings.Builder
-			if err := reg.WriteJSON(&buf); err != nil {
+			scrapeMetrics(t, ts)
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := telemetry.ParsePrometheus(&buf); err != nil {
 				t.Error(err)
 				return
 			}
@@ -275,9 +240,8 @@ func TestMetricsSnapshotUnderLoad(t *testing.T) {
 	}()
 	wg.Wait()
 
-	snap := snapshotNow(srv)
-	if snap.Ingest.Uploads != 16 || snap.Ingest.Detections != 16*14 {
-		t.Fatalf("ingest totals after load: %+v", snap.Ingest)
+	if up, found := reg.CounterValue(MetricIngestUploads), reg.CounterValue(MetricIngestDetections); up != 16 || found != 16*14 {
+		t.Fatalf("ingest totals after load: %d uploads, %d detections", up, found)
 	}
 	if reg.CounterValue(MetricRequests, "path", "/v1/ingest") != 16 {
 		t.Fatal("shared registry must carry the request counters")
@@ -289,6 +253,40 @@ func TestMetricsSnapshotUnderLoad(t *testing.T) {
 			t.Fatalf("gauge %s = %d after drain, want 0", k, v)
 		}
 	}
+}
+
+// scrapeMetrics fetches base/metrics and parses it with the strict
+// exposition parser.
+func scrapeMetrics(t testing.TB, base string) *telemetry.PromDoc {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	doc, err := telemetry.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics is not valid exposition: %v", err)
+	}
+	return doc
+}
+
+// promCounter reads one counter series of a scrape exactly; an absent
+// series reads zero.
+func promCounter(t testing.TB, doc *telemetry.PromDoc, name string, labels ...string) uint64 {
+	t.Helper()
+	s := doc.Series(name, labels...)
+	if s == nil {
+		return 0
+	}
+	v, err := strconv.ParseUint(s.Raw, 10, 64)
+	if err != nil {
+		t.Fatalf("%s%v: %v", name, labels, err)
+	}
+	return v
 }
 
 // newHTTPTestServer mounts an existing Server on a test listener and

@@ -18,7 +18,8 @@
 //
 // Production posture: per-plane concurrency limits answering 429 when
 // saturated, per-plane request timeouts, graceful shutdown that drains
-// in-flight ingests, and a /metrics endpoint.
+// in-flight ingests, and a /metrics endpoint serving the service's
+// registry in Prometheus text.
 package serve
 
 import (
@@ -26,10 +27,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/health"
-	"github.com/knockandtalk/knockandtalk/internal/pipeline"
 	"github.com/knockandtalk/knockandtalk/internal/report"
 	"github.com/knockandtalk/knockandtalk/internal/serve/queryengine"
 	"github.com/knockandtalk/knockandtalk/internal/store"
@@ -137,7 +138,7 @@ func New(eng *queryengine.Engine, opts Options) *Server {
 	mux.HandleFunc("GET /v1/site/{domain}", s.query("/v1/site/{domain}", s.handleSite))
 	mux.HandleFunc("GET /v1/summary", s.query("/v1/summary", s.handleSummary))
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", health.MetricsHandler(s.metrics.reg))
 	s.mux = mux
 	return s
 }
@@ -213,7 +214,7 @@ func (s *Server) query(endpoint string, h func(w http.ResponseWriter, r *http.Re
 		// stale hit.
 		gen := s.eng.Generation()
 		if body, cacheOutcome := s.cache.Lookup(key, gen, s.eng.ChangedSince); cacheOutcome != queryengine.Miss {
-			s.metrics.cacheHit()
+			s.metrics.cacheHit(cacheOutcome)
 			writeJSONBytes(w, body)
 			s.metrics.query(endpoint, cacheOutcome.String(), time.Since(start), traceID)
 			return
@@ -342,24 +343,14 @@ func (s *Server) handleSummary(_ http.ResponseWriter, r *http.Request) (string, 
 	}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.cache.Stats()
-	s.metrics.revalidated(s.cache.Revalidations())
-	snap := s.metrics.snapshot(hits, misses, s.cache.Revalidations())
-	// Surface store records whose OS label maps to no known platform —
-	// they are invisible in every per-OS aggregate otherwise.
-	snap.UnknownOSLabels = pipeline.IndexFor(s.eng.Store()).UnknownOSLabels()
-	writeJSON(w, snap)
-}
-
 // parseLimit parses a ?limit= value, clamping to the server row cap.
 // Absent means the cap; 0 would mean unlimited and is clamped too.
 func parseLimit(raw string, max int) (int, error) {
 	if raw == "" {
 		return max, nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(raw, "%d", &n); err != nil || n < 0 {
+	n, err := strconv.Atoi(raw)
+	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad limit %q", raw)
 	}
 	if n == 0 || n > max {

@@ -70,13 +70,6 @@ func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// snapshotNow renders the server's in-process metrics snapshot from
-// its cache's live counters.
-func snapshotNow(srv *Server) MetricsSnapshot {
-	hits, misses := srv.cache.Stats()
-	return srv.metrics.snapshot(hits, misses, srv.cache.Revalidations())
-}
-
 func getJSON(t testing.TB, url string, v any) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -116,13 +109,15 @@ func TestLocalsEndpoint(t *testing.T) {
 	if resp.Total != 0 || resp.Rows == nil || len(resp.Rows) != 0 {
 		t.Fatalf("empty result must be [] with total 0: %+v", resp)
 	}
-	r, err := http.Get(ts.URL + "/v1/locals?limit=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad limit: status %d, want 400", r.StatusCode)
+	for _, limit := range []string{"bogus", "10abc", "7.9", "-1"} {
+		r, err := http.Get(ts.URL + "/v1/locals?limit=" + limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("limit=%s: status %d, want 400", limit, r.StatusCode)
+		}
 	}
 }
 
@@ -194,6 +189,37 @@ func TestSummaryEndpoint(t *testing.T) {
 	}
 }
 
+// TestSummaryReportsUnknownOSLabels pins where records with an OS
+// label outside the study's platforms surface: /v1/summary tallies
+// them, and a clean corpus's summary carries no such field.
+func TestSummaryReportsUnknownOSLabels(t *testing.T) {
+	_, clean := newTestServer(t, Options{})
+	resp, err := http.Get(clean.URL + "/v1/summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("unknown_os_labels")) {
+		t.Fatalf("clean corpus summary renders unknown_os_labels: %s", raw)
+	}
+
+	st := serveStore(t)
+	st.AddPage(store.PageRecord{
+		Crawl: "top100k-2020", OS: "BeOS", Domain: "beos.example", URL: "https://beos.example/",
+	})
+	ts := httptest.NewServer(New(queryengine.New(st), Options{}).Handler())
+	t.Cleanup(ts.Close)
+	var sum report.JSONSummary
+	getJSON(t, ts.URL+"/v1/summary", &sum)
+	if len(sum.UnknownOSLabels) != 1 || sum.UnknownOSLabels["BeOS"] != 1 {
+		t.Fatalf("unknown_os_labels = %v, want BeOS:1", sum.UnknownOSLabels)
+	}
+}
+
 func TestResponseCacheHitMiss(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	var resp any
@@ -204,13 +230,12 @@ func TestResponseCacheHitMiss(t *testing.T) {
 	if hits != 1 || misses != 2 {
 		t.Fatalf("cache stats = %d hits / %d misses, want 1/2", hits, misses)
 	}
-	var m MetricsSnapshot
-	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Cache.Hits != 1 || m.Cache.Misses != 2 {
-		t.Fatalf("/metrics cache = %+v, want 1 hit / 2 misses", m.Cache)
+	doc := scrapeMetrics(t, ts.URL)
+	if h, m := promCounter(t, doc, MetricCacheHits), promCounter(t, doc, MetricCacheMisses); h != 1 || m != 2 {
+		t.Fatalf("/metrics cache = %d hits / %d misses, want 1/2", h, m)
 	}
-	if m.Requests["/v1/locals"] != 3 {
-		t.Fatalf("/metrics requests = %+v, want 3 locals hits", m.Requests)
+	if n := promCounter(t, doc, MetricRequests, "path", "/v1/locals"); n != 3 {
+		t.Fatalf("/metrics requests = %d, want 3 locals hits", n)
 	}
 }
 
@@ -294,11 +319,9 @@ func TestCacheSurgicalInvalidation(t *testing.T) {
 		t.Fatalf("ingested domain total = %d, want 14", fresh.Total)
 	}
 
-	// /metrics reports the revalidations.
-	var m MetricsSnapshot
-	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Cache.Revalidated != 2 {
-		t.Fatalf("/metrics revalidated = %d, want 2", m.Cache.Revalidated)
+	// /metrics counts the revalidations where the lookups happened.
+	if n := promCounter(t, scrapeMetrics(t, ts.URL), MetricCacheRevalidated); n != 2 {
+		t.Fatalf("/metrics revalidated = %d, want 2", n)
 	}
 	srv.Close()
 }
@@ -506,9 +529,9 @@ func TestQueryPlaneSaturationReturns429(t *testing.T) {
 	if len(ir.Detections) == 0 {
 		t.Fatal("ingest plane must not share the query limiter")
 	}
-	m := snapshotNow(srv)
-	if m.Rejected["query"] != 1 {
-		t.Fatalf("rejected_429 = %+v, want query:1", m.Rejected)
+	reg := srv.Registry()
+	if q, i := reg.CounterValue(MetricRejected, "plane", "query"), reg.CounterValue(MetricRejected, "plane", "ingest"); q != 1 || i != 0 {
+		t.Fatalf("rejected = query:%d ingest:%d, want query:1 ingest:0", q, i)
 	}
 }
 

@@ -13,8 +13,7 @@ const MetricBuildInfo = "knock_build_info"
 
 // RegisterBuildInfo registers the knock_build_info gauge on r (nil
 // uses the process-default registry) and returns the version label it
-// chose. The gauge rides along on /metrics in both the JSON snapshot
-// and the Prometheus text exposition.
+// chose. The gauge rides along on every Prometheus /metrics scrape.
 func RegisterBuildInfo(r *Registry) string {
 	if r == nil {
 		r = Default()

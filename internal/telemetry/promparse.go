@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -87,6 +88,74 @@ func (d *PromDoc) Series(name string, labels ...string) *PromSeries {
 		}
 	}
 	return nil
+}
+
+// Histograms rebuilds every instance of histogram family name from its
+// cumulative _bucket, _sum and _count series, inverting
+// WritePrometheus: a bucket's count is the rise of the cumulative count
+// at its bound, and each exemplar returns to its bucket. The registry
+// renders bounds, counts, sums and exemplar values as exact integers,
+// so the rebuild of a registry scrape equals the registry's own
+// HistogramFamily; any other value is an error. The result follows
+// stream order and is nil when the family is absent.
+func (d *PromDoc) Histograms(name string) ([]LabeledHistogram, error) {
+	fam := d.Families[name]
+	if fam == nil {
+		return nil, nil
+	}
+	if fam.Type != "histogram" {
+		return nil, fmt.Errorf("%s is a %s, not a histogram", name, fam.Type)
+	}
+	var (
+		out []LabeledHistogram
+		cur *HistogramSnapshot // instance being rebuilt; nil between instances
+		cum uint64
+	)
+	for _, s := range fam.Series {
+		v, err := strconv.ParseUint(s.Raw, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s: value %q is not an integer count", s.Name, s.Raw)
+		}
+		switch s.Name {
+		case name + "_sum":
+			cur.Sum = v
+		case name + "_count":
+			if v != cum {
+				return nil, fmt.Errorf("%s: %d disagrees with the +Inf bucket %d", s.Name, v, cum)
+			}
+			cur.Count = v
+			cur = nil
+		default: // _bucket: ParsePrometheus admits no other child
+			if cur == nil {
+				labels := maps.Clone(s.Labels)
+				delete(labels, "le")
+				if len(labels) == 0 {
+					labels = nil // as the registry decodes an unlabeled key
+				}
+				out = append(out, LabeledHistogram{Labels: labels})
+				cur, cum = &out[len(out)-1].Hist, 0
+			}
+			if v < cum {
+				return nil, fmt.Errorf("%s: bucket counts not cumulative at le=%q", s.Name, s.Labels["le"])
+			}
+			if le := s.Labels["le"]; le != "+Inf" && v > cum {
+				bound, err := strconv.ParseUint(le, 10, 64)
+				if err != nil {
+					return nil, fmt.Errorf("%s: le %q is not an integer bound", s.Name, le)
+				}
+				b := Bucket{Le: bound, N: v - cum}
+				if s.Exemplar != nil {
+					if b.ExemplarValue, err = strconv.ParseUint(s.Exemplar.Raw, 10, 64); err != nil {
+						return nil, fmt.Errorf("%s: exemplar value %q is not an integer", s.Name, s.Exemplar.Raw)
+					}
+					b.ExemplarTraceID = s.Exemplar.Labels["trace_id"]
+				}
+				cur.Buckets = append(cur.Buckets, b)
+			}
+			cum = v
+		}
+	}
+	return out, nil
 }
 
 // promFamilyName resolves a series name to its family: exact for

@@ -6,18 +6,17 @@
 //
 // The registry answers "what has this process done so far" — every
 // subsystem (crawler, pipeline, store, serve) registers named, labeled
-// metrics and the whole thing snapshots to JSON. Traces answer "what
-// happened during this one visit and where did the time go" — each page
-// visit (crawled or ingested) emits one JSONL record carrying its spans
-// (visit → netlog → detect → infer → classify → commit) with wall time,
-// item counts, and outcome. Both views are fed from the same measured
-// durations, so per-stage busy time aggregated from a trace file agrees
-// exactly with the registry's counters for the same work.
+// metrics and the whole thing renders as Prometheus text. Traces
+// answer "what happened during this one visit and where did the time
+// go" — each page visit (crawled or ingested) emits one JSONL record
+// carrying its spans (visit → netlog → detect → infer → classify →
+// commit) with wall time, item counts, and outcome. Both views are fed
+// from the same measured durations, so per-stage busy time aggregated
+// from a trace file agrees exactly with the registry's counters for
+// the same work.
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -295,8 +294,8 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry the binaries publish
-// (knockserved's debug endpoint exports it via expvar).
+// Default returns the process-wide registry the binaries publish on
+// their Prometheus /metrics endpoints.
 func Default() *Registry { return defaultRegistry }
 
 // Counter returns the counter registered under name and label pairs,
@@ -452,11 +451,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// WriteJSON writes the registry snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -16,7 +16,7 @@ import (
 // from the visit's start, so a waterfall renders without wall-clock
 // arithmetic; DurNS carries the exact measured nanoseconds — the same
 // value the metrics registry accumulates, which is what lets knocktrace
-// reproduce /metrics busy-seconds from a trace file alone.
+// reproduce /metrics busy time from a trace file alone.
 type Span struct {
 	Name    string `json:"name"`
 	StartNS int64  `json:"start_ns"`

@@ -86,9 +86,8 @@ type StageStats struct {
 	Hist Histogram
 }
 
-// BusySeconds converts the stage's accumulated nanoseconds exactly as
-// the serving layer's /metrics does, so the two renderings agree
-// byte-for-byte for identical work.
+// BusySeconds converts the stage's accumulated nanoseconds, the same
+// total pipeline_stage_busy_ns counts for identical work, to seconds.
 func (s *StageStats) BusySeconds() float64 {
 	return time.Duration(s.BusyNS).Seconds()
 }
@@ -173,7 +172,7 @@ func Summarize(visits []VisitRecord) *TraceSummary {
 }
 
 // BusySeconds renders per-stage busy time in seconds, keyed by stage
-// name — the trace-side counterpart of the /metrics pipeline map.
+// name — the trace-side counterpart of pipeline_stage_busy_ns.
 func (s *TraceSummary) BusySeconds() map[string]float64 {
 	out := make(map[string]float64, len(s.Stages))
 	for name, st := range s.Stages {

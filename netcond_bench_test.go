@@ -2,17 +2,14 @@
 // now computes its timings through the composable Conditions chain, and
 // that indirection must stay within 5% of a fused single-pass
 // implementation of the old LatencyModel arithmetic — the chain is free
-// when idle. An impaired crawl variant is measured alongside so profile
-// throughput is tracked run over run in BENCH_netcond.json.
+// when idle. An impaired crawl variant is measured alongside and its
+// throughput reported as a benchmark metric.
 package knockandtalk_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -54,18 +51,6 @@ func (s fusedNominal) Apply(seed uint64, f simnet.Flow, p *simnet.Path) {
 	b, _ := f.Dst.MarshalBinary()
 	h.Write(b)
 	p.RTT += base + time.Duration(h.Sum64()%uint64(jmax))
-}
-
-// netcondBenchResult is the BENCH_netcond.json schema.
-type netcondBenchResult struct {
-	Scale               float64 `json:"scale"`
-	Rounds              int     `json:"rounds"`
-	VisitsPerRound      int     `json:"visits_per_round"`
-	FusedVisitsPerSec   float64 `json:"fused_visits_per_sec"`
-	ChainVisitsPerSec   float64 `json:"chain_visits_per_sec"`
-	OverheadPercent     float64 `json:"overhead_percent"`
-	ImpairedProfile     string  `json:"impaired_profile"`
-	ImpairedPagesPerSec float64 `json:"impaired_pages_per_sec"`
 }
 
 // BenchmarkNetcondOverhead visits one crawl leg serially through both
@@ -151,7 +136,7 @@ func BenchmarkNetcondOverhead(b *testing.B) {
 	b.StopTimer()
 
 	// The impaired variant: the same leg crawled under the harshest
-	// profile, through the full crawler, for run-over-run tracking.
+	// profile, through the full crawler.
 	impairedStart := time.Now()
 	sum, err := crawler.RunWorld(crawler.Config{
 		Crawl: groundtruth.CrawlTop2020, OS: hostenv.Windows,
@@ -163,39 +148,17 @@ func BenchmarkNetcondOverhead(b *testing.B) {
 	}
 	impairedD := time.Since(impairedStart)
 
-	res := netcondBenchResult{
-		Scale:               scale,
-		Rounds:              rounds * b.N,
-		VisitsPerRound:      len(world.Targets),
-		FusedVisitsPerSec:   float64(len(world.Targets)) / fusedBest.Seconds(),
-		ChainVisitsPerSec:   float64(len(world.Targets)) / chainBest.Seconds(),
-		ImpairedProfile:     "satellite",
-		ImpairedPagesPerSec: float64(sum.Attempted) / impairedD.Seconds(),
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if len(ratios)%2 == 0 {
-		median = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-	}
-	res.OverheadPercent = 100 * (median - 1)
-	if res.OverheadPercent < 0 {
-		res.OverheadPercent = 0 // chain runs landed faster: pure noise
-	}
-	b.ReportMetric(res.ChainVisitsPerSec, "visits/sec")
-	b.ReportMetric(res.OverheadPercent, "overhead-%")
-
-	raw, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_netcond.json", append(raw, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	visits := float64(len(world.Targets))
+	fusedRate, chainRate := visits/fusedBest.Seconds(), visits/chainBest.Seconds()
+	impairedRate := float64(sum.Attempted) / impairedD.Seconds()
+	overhead := overheadPercent(ratios)
+	b.ReportMetric(chainRate, "visits/sec")
+	b.ReportMetric(overhead, "overhead-%")
 	fmt.Printf("netcond chain: fused %.0f visits/sec, chain %.0f visits/sec (%.2f%%), satellite %.0f pages/sec\n",
-		res.FusedVisitsPerSec, res.ChainVisitsPerSec, res.OverheadPercent, res.ImpairedPagesPerSec)
+		fusedRate, chainRate, overhead, impairedRate)
 
-	if res.OverheadPercent >= 5 {
+	if overhead >= 5 {
 		b.Fatalf("nominal chain overhead %.2f%% exceeds the 5%% budget (fused %v, chain %v)",
-			res.OverheadPercent, fusedBest, chainBest)
+			overhead, fusedBest, chainBest)
 	}
 }

@@ -440,6 +440,7 @@ func BenchmarkVisitQuietPage(b *testing.B) {
 		b.Fatal(err)
 	}
 	br := browser.New(hostenv.DefaultProfile(hostenv.Windows), world.Net, browser.DefaultOptions())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.Visit(world.Targets[i%len(world.Targets)].URL)
@@ -452,6 +453,7 @@ func BenchmarkVisitScanningPage(b *testing.B) {
 		b.Fatal(err)
 	}
 	br := browser.New(hostenv.DefaultProfile(hostenv.Windows), world.Net, browser.DefaultOptions())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.Visit("https://ebay.com/")

@@ -153,7 +153,7 @@ func writeCSVs(st *store.Store, dir string) {
 			fatal("writing csv", "name", name, "err", err)
 		}
 	}
-	fmt.Printf("wrote %d CSV series to %s\n", len(files), dir)
+	fmt.Fprintf(os.Stderr, "wrote %d CSV series to %s\n", len(files), dir)
 }
 
 func fatal(msg string, args ...any) {

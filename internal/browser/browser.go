@@ -140,9 +140,8 @@ func (b *Browser) Visit(rawURL string) *VisitResult {
 		if host := hostOf(rawURL); b.Opts.SafeBrowsingList[host] {
 			res.Err = simnet.ErrBlockedByClient
 			src := rec.NewSource(netlog.SourceURLRequest)
-			rec.Point(0, netlog.TypeURLRequestError, src, map[string]any{
-				"url": rawURL, "net_error": string(simnet.ErrBlockedByClient),
-			})
+			rec.Point(0, netlog.TypeURLRequestError, src,
+				netlog.Params{}.WithURL(rawURL).WithNetError(string(simnet.ErrBlockedByClient)))
 			res.Log = rec.TakeLog()
 			return res
 		}
@@ -215,8 +214,8 @@ func (v *visit) emitBackground() {
 	}
 	for _, bg := range internal {
 		src := v.rec.NewSource(netlog.SourceBrowser)
-		v.rec.Begin(bg.at, netlog.TypeBrowserBackgroundRequest, src, map[string]any{"url": bg.url})
-		v.rec.End(bg.at+25*time.Millisecond, netlog.TypeBrowserBackgroundRequest, src, nil)
+		v.rec.Begin(bg.at, netlog.TypeBrowserBackgroundRequest, src, netlog.Params{}.WithURL(bg.url))
+		v.rec.End(bg.at+25*time.Millisecond, netlog.TypeBrowserBackgroundRequest, src, netlog.Params{})
 	}
 }
 

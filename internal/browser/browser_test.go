@@ -296,7 +296,7 @@ func TestWebSocketSOPExemptionRecorded(t *testing.T) {
 		if f.URL == "ws://localhost:28337/" {
 			for _, e := range f.Events {
 				if e.Type == netlog.TypeRequestAlive && e.Phase == netlog.PhaseBegin {
-					if exempt, _ := e.Params["sop_exempt"].(bool); !exempt {
+					if exempt, _ := e.ParamBool("sop_exempt"); !exempt {
 						t.Error("WebSocket flow not marked SOP-exempt")
 					}
 					return

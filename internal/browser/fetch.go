@@ -19,10 +19,9 @@ import (
 // A redirect chain reuses the same URL_REQUEST source, as Chrome does.
 func (v *visit) fetch(req request, done func(fetchOutcome)) {
 	fail := func(src netlog.Source, u string, err simnet.NetError) {
-		v.rec.Point(v.sched.Now(), netlog.TypeURLRequestError, src, map[string]any{
-			"url": u, "net_error": string(err),
-		})
-		v.rec.End(v.sched.Now(), netlog.TypeRequestAlive, src, nil)
+		v.rec.Point(v.sched.Now(), netlog.TypeURLRequestError, src,
+			netlog.Params{}.WithURL(u).WithNetError(string(err)))
+		v.rec.End(v.sched.Now(), netlog.TypeRequestAlive, src, netlog.Params{})
 		done(fetchOutcome{err: err, finalURL: u})
 	}
 
@@ -31,9 +30,8 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 		src := req.source
 		if src == (netlog.Source{}) {
 			src = v.rec.NewSource(netlog.SourceURLRequest)
-			v.rec.Begin(v.sched.Now(), netlog.TypeRequestAlive, src, map[string]any{
-				"url": req.rawURL, "initiator": req.initiator,
-			})
+			v.rec.Begin(v.sched.Now(), netlog.TypeRequestAlive, src,
+				netlog.Params{}.WithURL(req.rawURL).WithInitiator(req.initiator))
 		}
 		fail(src, req.rawURL, simnet.ErrAborted)
 		return
@@ -46,12 +44,11 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 			srcType = netlog.SourceWebSocket
 		}
 		src = v.rec.NewSource(srcType)
-		v.rec.Begin(v.sched.Now(), netlog.TypeRequestAlive, src, map[string]any{
-			"url":        req.rawURL,
-			"initiator":  req.initiator,
-			"method":     "GET",
-			"sop_exempt": target.scheme.WebSocket(),
-		})
+		v.rec.Begin(v.sched.Now(), netlog.TypeRequestAlive, src, netlog.Params{}.
+			WithURL(req.rawURL).
+			WithInitiator(req.initiator).
+			WithMethod("GET").
+			WithSOPExempt(target.scheme.WebSocket()))
 	}
 
 	if PortRestricted(target.port) {
@@ -82,9 +79,8 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 						fail(src, req.rawURL, simnet.ErrTooManyRedirects)
 						return
 					}
-					v.rec.Point(v.sched.Now(), netlog.TypeURLRequestRedirect, src, map[string]any{
-						"url": req.rawURL, "location": resp.Location,
-					})
+					v.rec.Point(v.sched.Now(), netlog.TypeURLRequestRedirect, src,
+						netlog.Params{}.WithURL(req.rawURL).WithLocation(resp.Location))
 					v.fetch(request{
 						rawURL:     resp.Location,
 						initiator:  req.initiator,
@@ -94,9 +90,8 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 					}, done)
 					return
 				}
-				v.rec.End(v.sched.Now(), netlog.TypeRequestAlive, src, map[string]any{
-					"status_code": resp.Status,
-				})
+				v.rec.End(v.sched.Now(), netlog.TypeRequestAlive, src,
+					netlog.Params{}.WithStatusCode(resp.Status))
 				done(fetchOutcome{
 					status:   resp.Status,
 					finalURL: req.rawURL,
@@ -131,12 +126,11 @@ func (v *visit) resolve(target parsedURL, done func(netip.Addr, simnet.NetError)
 	}
 	dns := v.b.cond.Path(v.b.Net.Seed, simnet.Flow{Vantage: v.b.flowVantage, Host: target.host})
 	dnsSrc := v.rec.NewSource(netlog.SourceHostResolver)
-	v.rec.Begin(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, map[string]any{"host": target.host})
+	v.rec.Begin(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, netlog.Params{}.WithHost(target.host))
 	if dns.DNSTimeout {
 		v.sched.After(dns.DNSTimeoutAfter, func() {
-			v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, map[string]any{
-				"host": target.host, "net_error": string(simnet.ErrDNSTimedOut),
-			})
+			v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc,
+				netlog.Params{}.WithHost(target.host).WithNetError(string(simnet.ErrDNSTimedOut)))
 			done(netip.Addr{}, simnet.ErrDNSTimedOut)
 		})
 		return
@@ -147,15 +141,13 @@ func (v *visit) resolve(target parsedURL, done func(netip.Addr, simnet.NetError)
 		delay = dns.DNSFailure
 	}
 	v.sched.After(delay, func() {
-		params := map[string]any{"host": target.host}
+		params := netlog.Params{}.WithHost(target.host)
 		if nerr.IsFailure() {
-			params["net_error"] = string(nerr)
-			v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, params)
+			v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, params.WithNetError(string(nerr)))
 			done(netip.Addr{}, nerr)
 			return
 		}
-		params["address"] = addrs[0].String()
-		v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, params)
+		v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, params.WithAddress(addrs[0].String()))
 		done(addrs[0], simnet.OK)
 	})
 }
@@ -188,16 +180,15 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 			v.pool = map[string]netlog.Source{}
 		}
 		if sock, ok := v.pool[key]; ok {
-			v.rec.Point(v.sched.Now(), netlog.TypeSocketInUse, sock, map[string]any{"address": hostport})
+			v.rec.Point(v.sched.Now(), netlog.TypeSocketInUse, sock, netlog.Params{}.WithAddress(hostport))
 			done(ep, simnet.OK)
 			return
 		}
 	}
 	rtt := path.RTT
 	sockSrc := v.rec.NewSource(netlog.SourceSocket)
-	v.rec.Begin(v.sched.Now(), netlog.TypeTCPConnect, sockSrc, map[string]any{
-		"address": netip.AddrPortFrom(addr, target.port).String(),
-	})
+	v.rec.Begin(v.sched.Now(), netlog.TypeTCPConnect, sockSrc,
+		netlog.Params{}.WithAddress(netip.AddrPortFrom(addr, target.port).String()))
 	var wait time.Duration
 	switch outcome {
 	case simnet.DialAccepted, simnet.DialRefused:
@@ -209,11 +200,11 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 	}
 	v.sched.After(wait, func() {
 		if nerr := outcome.NetError(); nerr.IsFailure() {
-			v.rec.Point(v.sched.Now(), netlog.TypeSocketError, sockSrc, map[string]any{"net_error": string(nerr)})
+			v.rec.Point(v.sched.Now(), netlog.TypeSocketError, sockSrc, netlog.Params{}.WithNetError(string(nerr)))
 			done(ep, nerr)
 			return
 		}
-		v.rec.End(v.sched.Now(), netlog.TypeTCPConnect, sockSrc, nil)
+		v.rec.End(v.sched.Now(), netlog.TypeTCPConnect, sockSrc, netlog.Params{})
 		if !target.scheme.Secure() {
 			if !target.scheme.WebSocket() && v.pool != nil {
 				v.pool[key] = sockSrc
@@ -221,7 +212,7 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 			done(ep, simnet.OK)
 			return
 		}
-		v.rec.Begin(v.sched.Now(), netlog.TypeSSLConnect, sockSrc, nil)
+		v.rec.Begin(v.sched.Now(), netlog.TypeSSLConnect, sockSrc, netlog.Params{})
 		var tlsErr simnet.NetError
 		switch {
 		case ep.TLS == nil || ep.TLS.Broken:
@@ -235,11 +226,11 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 		}
 		v.sched.After(2*rtt, func() {
 			if tlsErr.IsFailure() {
-				v.rec.Point(v.sched.Now(), netlog.TypeSocketError, sockSrc, map[string]any{"net_error": string(tlsErr)})
+				v.rec.Point(v.sched.Now(), netlog.TypeSocketError, sockSrc, netlog.Params{}.WithNetError(string(tlsErr)))
 				done(ep, tlsErr)
 				return
 			}
-			v.rec.End(v.sched.Now(), netlog.TypeSSLConnect, sockSrc, nil)
+			v.rec.End(v.sched.Now(), netlog.TypeSSLConnect, sockSrc, netlog.Params{})
 			if !target.scheme.WebSocket() && v.pool != nil {
 				v.pool[key] = sockSrc
 			}
@@ -269,12 +260,11 @@ func (v *visit) transact(src netlog.Source, req request, target parsedURL, addr 
 	}
 	ws := target.scheme.WebSocket()
 	if ws {
-		v.rec.Begin(v.sched.Now(), netlog.TypeWebSocketSendHandshakeRequest, src, map[string]any{"url": req.rawURL})
+		v.rec.Begin(v.sched.Now(), netlog.TypeWebSocketSendHandshakeRequest, src, netlog.Params{}.WithURL(req.rawURL))
 	} else {
-		v.rec.Begin(v.sched.Now(), netlog.TypeHTTPTransactionSendRequest, src, nil)
-		v.rec.Point(v.sched.Now(), netlog.TypeHTTPTransactionSendRequestHeaders, src, map[string]any{
-			"method": "GET", "path": target.path, "user_agent": sreq.UserAgent,
-		})
+		v.rec.Begin(v.sched.Now(), netlog.TypeHTTPTransactionSendRequest, src, netlog.Params{})
+		v.rec.Point(v.sched.Now(), netlog.TypeHTTPTransactionSendRequestHeaders, src,
+			netlog.Params{}.WithMethod("GET").WithPath(target.path).WithUserAgent(sreq.UserAgent))
 	}
 	resp := serve(ep.Service, sreq)
 	wait := rtt
@@ -284,7 +274,7 @@ func (v *visit) transact(src netlog.Source, req request, target parsedURL, addr 
 	v.sched.After(wait, func() {
 		if resp == nil || resp.Status == 0 {
 			if ws {
-				v.rec.Point(v.sched.Now(), netlog.TypeWebSocketInvalidHandshake, src, nil)
+				v.rec.Point(v.sched.Now(), netlog.TypeWebSocketInvalidHandshake, src, netlog.Params{})
 				done(nil, simnet.ErrInvalidHTTPResponse)
 				return
 			}
@@ -299,18 +289,19 @@ func (v *visit) transact(src netlog.Source, req request, target parsedURL, addr 
 			// A WebSocket upgrade succeeds only if the service accepted
 			// it; an HTTP service answering 200 is an invalid handshake.
 			if resp.WebSocketAccept || resp.Status == 101 {
-				v.rec.Point(v.sched.Now(), netlog.TypeWebSocketReadHandshakeResponse, src, map[string]any{"status_code": 101})
-				v.rec.Point(v.sched.Now(), netlog.TypeWebSocketSendFrame, src, map[string]any{"op": "text"})
+				v.rec.Point(v.sched.Now(), netlog.TypeWebSocketReadHandshakeResponse, src,
+					netlog.Params{}.WithStatusCode(101))
+				v.rec.Point(v.sched.Now(), netlog.TypeWebSocketSendFrame, src, netlog.Params{}.WithOp("text"))
 				done(fetchOK(101), simnet.OK)
 				return
 			}
-			v.rec.Point(v.sched.Now(), netlog.TypeWebSocketInvalidHandshake, src, map[string]any{"status_code": resp.Status})
+			v.rec.Point(v.sched.Now(), netlog.TypeWebSocketInvalidHandshake, src,
+				netlog.Params{}.WithStatusCode(resp.Status))
 			done(fetchOK(resp.Status), simnet.OK)
 			return
 		}
-		v.rec.Point(v.sched.Now(), netlog.TypeHTTPTransactionReadHeaders, src, map[string]any{
-			"status_code": resp.Status,
-		})
+		v.rec.Point(v.sched.Now(), netlog.TypeHTTPTransactionReadHeaders, src,
+			netlog.Params{}.WithStatusCode(resp.Status))
 		if resp.Status >= 300 && resp.Status < 400 && resp.Location != "" {
 			done(resp, simnet.OK)
 			return
@@ -319,7 +310,8 @@ func (v *visit) transact(src netlog.Source, req request, target parsedURL, addr 
 		// the active conditions' bandwidth cap imposes.
 		bodyWait := path.TransferDelay(resp.BodySize)
 		v.sched.After(bodyWait, func() {
-			v.rec.Point(v.sched.Now(), netlog.TypeHTTPTransactionReadBody, src, map[string]any{"bytes": resp.BodySize})
+			v.rec.Point(v.sched.Now(), netlog.TypeHTTPTransactionReadBody, src,
+				netlog.Params{}.WithBytes(resp.BodySize))
 			done(resp, simnet.OK)
 		})
 	})

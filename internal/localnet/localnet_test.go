@@ -49,28 +49,28 @@ func buildLog() *netlog.Log {
 
 	// Public landing page — not a finding.
 	landing := r.NewSource(netlog.SourceURLRequest)
-	r.Begin(0, netlog.TypeRequestAlive, landing, map[string]any{"url": "https://ebay.com/", "initiator": "navigation"})
-	r.End(800*time.Millisecond, netlog.TypeRequestAlive, landing, map[string]any{"status_code": 200})
+	r.Begin(0, netlog.TypeRequestAlive, landing, netlog.Params{}.WithURL("https://ebay.com/").WithInitiator("navigation"))
+	r.End(800*time.Millisecond, netlog.TypeRequestAlive, landing, netlog.Params{}.WithStatusCode(200))
 
 	// ThreatMetrix WSS probe — a localhost finding.
 	tm := r.NewSource(netlog.SourceWebSocket)
-	r.Begin(10*time.Second, netlog.TypeRequestAlive, tm, map[string]any{"url": "wss://localhost:5939/", "initiator": "blob:threatmetrix", "sop_exempt": true})
-	r.Point(10*time.Second+2*time.Millisecond, netlog.TypeURLRequestError, tm, map[string]any{"net_error": "ERR_CONNECTION_REFUSED"})
+	r.Begin(10*time.Second, netlog.TypeRequestAlive, tm, netlog.Params{}.WithURL("wss://localhost:5939/").WithInitiator("blob:threatmetrix").WithSOPExempt(true))
+	r.Point(10*time.Second+2*time.Millisecond, netlog.TypeURLRequestError, tm, netlog.Params{}.WithNetError("ERR_CONNECTION_REFUSED"))
 
 	// LAN image fetch — a LAN finding.
 	lan := r.NewSource(netlog.SourceURLRequest)
-	r.Begin(3*time.Second, netlog.TypeRequestAlive, lan, map[string]any{"url": "http://10.193.31.212/system/x.png", "initiator": "img"})
-	r.Point(3*time.Second+9*time.Second, netlog.TypeSocketTimeout, lan, nil)
+	r.Begin(3*time.Second, netlog.TypeRequestAlive, lan, netlog.Params{}.WithURL("http://10.193.31.212/system/x.png").WithInitiator("img"))
+	r.Point(3*time.Second+9*time.Second, netlog.TypeSocketTimeout, lan, netlog.Params{})
 
 	// Redirect to loopback — a via-redirect finding on a public flow.
 	red := r.NewSource(netlog.SourceURLRequest)
-	r.Begin(1*time.Second, netlog.TypeRequestAlive, red, map[string]any{"url": "http://romadecade.org/", "initiator": "navigation"})
-	r.Point(1200*time.Millisecond, netlog.TypeURLRequestRedirect, red, map[string]any{"location": "http://127.0.0.1/"})
+	r.Begin(1*time.Second, netlog.TypeRequestAlive, red, netlog.Params{}.WithURL("http://romadecade.org/").WithInitiator("navigation"))
+	r.Point(1200*time.Millisecond, netlog.TypeURLRequestRedirect, red, netlog.Params{}.WithLocation("http://127.0.0.1/"))
 
 	// Browser-internal loopback ping — must be filtered out.
 	bg := r.NewSource(netlog.SourceBrowser)
-	r.Begin(500*time.Millisecond, netlog.TypeBrowserBackgroundRequest, bg, map[string]any{"url": "http://127.0.0.1:49152/crashpad/ping"})
-	r.End(520*time.Millisecond, netlog.TypeBrowserBackgroundRequest, bg, nil)
+	r.Begin(500*time.Millisecond, netlog.TypeBrowserBackgroundRequest, bg, netlog.Params{}.WithURL("http://127.0.0.1:49152/crashpad/ping"))
+	r.End(520*time.Millisecond, netlog.TypeBrowserBackgroundRequest, bg, netlog.Params{})
 
 	return r.Log()
 }
@@ -127,7 +127,7 @@ func TestFromLogEmptyAndPublicOnly(t *testing.T) {
 	}
 	r := netlog.NewRecorder()
 	src := r.NewSource(netlog.SourceURLRequest)
-	r.Begin(0, netlog.TypeRequestAlive, src, map[string]any{"url": "https://cdn0.webstatic.example/a.js"})
+	r.Begin(0, netlog.TypeRequestAlive, src, netlog.Params{}.WithURL("https://cdn0.webstatic.example/a.js"))
 	if got := FromLog(r.Log()); len(got) != 0 {
 		t.Errorf("public-only log produced %d findings", len(got))
 	}

@@ -183,6 +183,8 @@ func buildFlow(src Source, events []Event) (Flow, bool) {
 
 // foldEvent accumulates one event into its flow's aggregate fields.
 // f.Start and f.End must be initialized from the flow's first event.
+// It reads the typed parameter fields directly: an absent or non-string
+// value leaves its field "", which is what ParamString returns.
 func foldEvent(f *Flow, e *Event) {
 	if e.Time < f.Start {
 		f.Start = e.Time
@@ -190,27 +192,24 @@ func foldEvent(f *Flow, e *Event) {
 	if e.Time > f.End {
 		f.End = e.Time
 	}
+	p := &e.Params
 	if f.URL == "" {
-		if u := e.ParamString("url"); u != "" {
-			f.URL = u
-		}
+		f.URL = p.str[keyURL]
 	}
 	if f.Initiator == "" {
-		if in := e.ParamString("initiator"); in != "" {
-			f.Initiator = in
-		}
+		f.Initiator = p.str[keyInitiator]
 	}
 	switch e.Type {
 	case TypeURLRequestRedirect:
-		if loc := e.ParamString("location"); loc != "" {
+		if loc := p.str[keyLocation]; loc != "" {
 			f.RedirectedTo = append(f.RedirectedTo, loc)
 		}
 	case TypeURLRequestError, TypeSocketError:
-		if ne := e.ParamString("net_error"); ne != "" {
+		if ne := p.str[keyNetError]; ne != "" {
 			f.NetError = ne
 		}
 	case TypeHTTPTransactionReadHeaders, TypeWebSocketReadHandshakeResponse:
-		if sc, ok := e.ParamInt("status_code"); ok {
+		if sc, ok := p.intParam(keyStatusCode); ok {
 			f.StatusCode = sc
 		}
 	}

@@ -15,8 +15,8 @@
 //     is assigned a fresh serial source ID and dependent events share it
 //   - phase:  BEGIN, END, or NONE
 //
-// Events additionally carry a parameter map with event-specific details
-// (URLs, error codes, byte counts, and so on).
+// Events additionally carry typed parameters with event-specific details
+// (URLs, error codes, byte counts, and so on); see Params.
 package netlog
 
 import (
@@ -122,36 +122,8 @@ type Event struct {
 	// Phase is BEGIN, END, or NONE.
 	Phase Phase
 	// Params holds event-specific parameters (e.g. "url", "net_error").
-	// It may be nil. Values must be JSON-encodable.
-	Params map[string]any
-}
-
-// ParamString returns the string value of the named parameter, or "" if it
-// is absent or not a string.
-func (e *Event) ParamString(key string) string {
-	if e.Params == nil {
-		return ""
-	}
-	s, _ := e.Params[key].(string)
-	return s
-}
-
-// ParamInt returns the integer value of the named parameter. JSON decoding
-// produces float64 values, so both int and float64 are accepted.
-func (e *Event) ParamInt(key string) (int, bool) {
-	if e.Params == nil {
-		return 0, false
-	}
-	switch v := e.Params[key].(type) {
-	case int:
-		return v, true
-	case int64:
-		return int(v), true
-	case float64:
-		return int(v), true
-	default:
-		return 0, false
-	}
+	// The zero value has none.
+	Params Params
 }
 
 // Log is a complete NetLog capture: a flat, time-ordered event stream.
@@ -181,8 +153,9 @@ func (l *Log) Sources() []Source {
 // each group.
 func (l *Log) BySource() map[Source][]Event {
 	out := make(map[Source][]Event)
-	for _, e := range l.Events {
-		out[e.Source] = append(out[e.Source], e)
+	for i := range l.Events {
+		src := l.Events[i].Source
+		out[src] = append(out[src], l.Events[i])
 	}
 	return out
 }

@@ -59,7 +59,7 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				src := r.NewSource(SourceURLRequest)
-				r.Begin(time.Duration(i)*time.Millisecond, TypeRequestAlive, src, nil)
+				r.Begin(time.Duration(i)*time.Millisecond, TypeRequestAlive, src, Params{})
 			}
 		}()
 	}
@@ -80,9 +80,9 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 func TestLogSnapshotIsolation(t *testing.T) {
 	r := NewRecorder()
 	src := r.NewSource(SourceURLRequest)
-	r.Begin(0, TypeRequestAlive, src, nil)
+	r.Begin(0, TypeRequestAlive, src, Params{})
 	snap := r.Log()
-	r.End(time.Second, TypeRequestAlive, src, nil)
+	r.End(time.Second, TypeRequestAlive, src, Params{})
 	if snap.Len() != 1 {
 		t.Errorf("snapshot grew after further recording: len = %d", snap.Len())
 	}
@@ -92,10 +92,10 @@ func TestJSONRoundTrip(t *testing.T) {
 	r := NewRecorder()
 	req := r.NewSource(SourceURLRequest)
 	sock := r.NewSource(SourceSocket)
-	r.Begin(0, TypeRequestAlive, req, map[string]any{"url": "http://127.0.0.1:8080/x"})
-	r.Begin(1500*time.Microsecond, TypeTCPConnect, sock, map[string]any{"address": "127.0.0.1:8080"})
-	r.Point(2*time.Millisecond, TypeSocketError, sock, map[string]any{"net_error": "ERR_CONNECTION_REFUSED"})
-	r.End(3*time.Millisecond, TypeRequestAlive, req, nil)
+	r.Begin(0, TypeRequestAlive, req, Params{}.WithURL("http://127.0.0.1:8080/x"))
+	r.Begin(1500*time.Microsecond, TypeTCPConnect, sock, Params{}.WithAddress("127.0.0.1:8080"))
+	r.Point(2*time.Millisecond, TypeSocketError, sock, Params{}.WithNetError("ERR_CONNECTION_REFUSED"))
+	r.End(3*time.Millisecond, TypeRequestAlive, req, Params{})
 	log := r.Log()
 
 	var buf bytes.Buffer
@@ -123,7 +123,7 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestJSONSubMillisecondPrecision(t *testing.T) {
 	r := NewRecorder()
 	src := r.NewSource(SourceURLRequest)
-	r.Begin(137*time.Microsecond, TypeRequestAlive, src, map[string]any{"url": "http://localhost/"})
+	r.Begin(137*time.Microsecond, TypeRequestAlive, src, Params{}.WithURL("http://localhost/"))
 	var buf bytes.Buffer
 	if err := r.Log().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -177,9 +177,9 @@ func TestBySourceGrouping(t *testing.T) {
 	r := NewRecorder()
 	a := r.NewSource(SourceURLRequest)
 	b := r.NewSource(SourceURLRequest)
-	r.Begin(0, TypeRequestAlive, a, nil)
-	r.Begin(1, TypeRequestAlive, b, nil)
-	r.End(2, TypeRequestAlive, a, nil)
+	r.Begin(0, TypeRequestAlive, a, Params{})
+	r.Begin(1, TypeRequestAlive, b, Params{})
+	r.End(2, TypeRequestAlive, a, Params{})
 	groups := r.Log().BySource()
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
@@ -192,12 +192,12 @@ func TestBySourceGrouping(t *testing.T) {
 func TestFlowsReconstruction(t *testing.T) {
 	r := NewRecorder()
 	req := r.NewSource(SourceURLRequest)
-	r.Begin(5*time.Millisecond, TypeRequestAlive, req, map[string]any{"url": "wss://localhost:5939/", "initiator": "blob:threatmetrix"})
-	r.Point(6*time.Millisecond, TypeWebSocketReadHandshakeResponse, req, map[string]any{"status_code": 101})
-	r.End(9*time.Millisecond, TypeRequestAlive, req, nil)
+	r.Begin(5*time.Millisecond, TypeRequestAlive, req, Params{}.WithURL("wss://localhost:5939/").WithInitiator("blob:threatmetrix"))
+	r.Point(6*time.Millisecond, TypeWebSocketReadHandshakeResponse, req, Params{}.WithStatusCode(101))
+	r.End(9*time.Millisecond, TypeRequestAlive, req, Params{})
 
 	bare := r.NewSource(SourceSocket) // transport-only source: no URL, dropped
-	r.Begin(1*time.Millisecond, TypeTCPConnect, bare, nil)
+	r.Begin(1*time.Millisecond, TypeTCPConnect, bare, Params{})
 
 	flows := r.Log().Flows()
 	if len(flows) != 1 {
@@ -227,9 +227,9 @@ func TestFlowsReconstruction(t *testing.T) {
 func TestFlowErrorAndRedirect(t *testing.T) {
 	r := NewRecorder()
 	req := r.NewSource(SourceURLRequest)
-	r.Begin(0, TypeRequestAlive, req, map[string]any{"url": "http://fincaraiz.com.co/"})
-	r.Point(time.Millisecond, TypeURLRequestRedirect, req, map[string]any{"location": "http://127.0.0.1/"})
-	r.Point(2*time.Millisecond, TypeURLRequestError, req, map[string]any{"net_error": "ERR_CONNECTION_REFUSED"})
+	r.Begin(0, TypeRequestAlive, req, Params{}.WithURL("http://fincaraiz.com.co/"))
+	r.Point(time.Millisecond, TypeURLRequestRedirect, req, Params{}.WithLocation("http://127.0.0.1/"))
+	r.Point(2*time.Millisecond, TypeURLRequestError, req, Params{}.WithNetError("ERR_CONNECTION_REFUSED"))
 	flows := r.Log().Flows()
 	if len(flows) != 1 {
 		t.Fatalf("got %d flows", len(flows))
@@ -247,8 +247,8 @@ func TestFlowsSortedByStart(t *testing.T) {
 	r := NewRecorder()
 	late := r.NewSource(SourceURLRequest)
 	early := r.NewSource(SourceURLRequest)
-	r.Begin(10*time.Millisecond, TypeRequestAlive, late, map[string]any{"url": "http://b/"})
-	r.Begin(1*time.Millisecond, TypeRequestAlive, early, map[string]any{"url": "http://a/"})
+	r.Begin(10*time.Millisecond, TypeRequestAlive, late, Params{}.WithURL("http://b/"))
+	r.Begin(1*time.Millisecond, TypeRequestAlive, early, Params{}.WithURL("http://a/"))
 	flows := r.Log().Flows()
 	if len(flows) != 2 || flows[0].URL != "http://a/" {
 		t.Errorf("flows not time-ordered: %+v", flows)
@@ -268,7 +268,7 @@ func TestSortByTimeStable(t *testing.T) {
 }
 
 func TestParamAccessors(t *testing.T) {
-	e := Event{Params: map[string]any{"s": "x", "i": 42, "f": 7.0, "i64": int64(5)}}
+	e := Event{Params: Params{}.with("s", "x").with("i", 42).with("f", 7.0).with("i64", int64(5))}
 	if e.ParamString("s") != "x" || e.ParamString("missing") != "" || e.ParamString("i") != "" {
 		t.Error("ParamString wrong")
 	}
@@ -299,7 +299,7 @@ func TestQuickJSONRoundTrip(t *testing.T) {
 			src := r.NewSource(SourceType(int(uint64(next())%6) + 1))
 			typ := types[int(uint64(next())%uint64(len(types)))]
 			at := time.Duration(uint64(next())%20_000_000) * time.Microsecond
-			r.Emit(at, typ, src, Phase(uint64(next())%3), map[string]any{"k": "v"})
+			r.Emit(at, typ, src, Phase(uint64(next())%3), Params{}.with("k", "v"))
 		}
 		log := r.Log()
 		var buf bytes.Buffer
@@ -327,7 +327,7 @@ func TestBoundedRecorder(t *testing.T) {
 	r := NewBoundedRecorder(3)
 	src := r.NewSource(SourceURLRequest)
 	for i := 0; i < 10; i++ {
-		r.Point(time.Duration(i), TypeRequestAlive, src, nil)
+		r.Point(time.Duration(i), TypeRequestAlive, src, Params{})
 	}
 	if r.Len() != 3 {
 		t.Errorf("retained = %d, want 3", r.Len())
@@ -338,7 +338,7 @@ func TestBoundedRecorder(t *testing.T) {
 	// Unbounded recorder never drops.
 	u := NewRecorder()
 	for i := 0; i < 10; i++ {
-		u.Point(time.Duration(i), TypeRequestAlive, src, nil)
+		u.Point(time.Duration(i), TypeRequestAlive, src, Params{})
 	}
 	if u.Dropped() != 0 || u.Len() != 10 {
 		t.Errorf("unbounded recorder dropped events: %d/%d", u.Dropped(), u.Len())
@@ -352,21 +352,21 @@ func TestFlowStatsMatchesFlows(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		src := r.NewSource(SourceURLRequest)
 		url := "http://site" + string(rune('a'+i%7)) + ".example/"
-		r.Begin(time.Duration(40-i)*time.Millisecond, TypeRequestAlive, src, map[string]any{"url": url, "initiator": "nav"})
+		r.Begin(time.Duration(40-i)*time.Millisecond, TypeRequestAlive, src, Params{}.WithURL(url).WithInitiator("nav"))
 		switch i % 4 {
 		case 0:
-			r.Point(time.Duration(41-i)*time.Millisecond, TypeURLRequestRedirect, src, map[string]any{"location": "http://127.0.0.1/"})
+			r.Point(time.Duration(41-i)*time.Millisecond, TypeURLRequestRedirect, src, Params{}.WithLocation("http://127.0.0.1/"))
 		case 1:
-			r.Point(time.Duration(41-i)*time.Millisecond, TypeURLRequestError, src, map[string]any{"net_error": "ERR_CONNECTION_REFUSED"})
+			r.Point(time.Duration(41-i)*time.Millisecond, TypeURLRequestError, src, Params{}.WithNetError("ERR_CONNECTION_REFUSED"))
 		case 2:
-			r.Point(time.Duration(41-i)*time.Millisecond, TypeHTTPTransactionReadHeaders, src, map[string]any{"status_code": 200})
+			r.Point(time.Duration(41-i)*time.Millisecond, TypeHTTPTransactionReadHeaders, src, Params{}.WithStatusCode(200))
 		}
-		r.End(time.Duration(42-i)*time.Millisecond, TypeRequestAlive, src, nil)
+		r.End(time.Duration(42-i)*time.Millisecond, TypeRequestAlive, src, Params{})
 	}
 	bare := r.NewSource(SourceSocket)
-	r.Begin(0, TypeTCPConnect, bare, nil)
+	r.Begin(0, TypeTCPConnect, bare, Params{})
 	br := r.NewSource(SourceBrowser)
-	r.Begin(time.Millisecond, TypeRequestAlive, br, nil)
+	r.Begin(time.Millisecond, TypeRequestAlive, br, Params{})
 
 	log := r.Log()
 	full, lite := log.Flows(), log.FlowStats()
@@ -395,7 +395,7 @@ func TestFlowStatsMatchesFlows(t *testing.T) {
 func TestRecycleReturnsBufferWithoutCorruption(t *testing.T) {
 	r := NewRecorder()
 	src := r.NewSource(SourceURLRequest)
-	r.Begin(0, TypeRequestAlive, src, map[string]any{"url": "http://a/"})
+	r.Begin(0, TypeRequestAlive, src, Params{}.WithURL("http://a/"))
 	log := r.TakeLog()
 	if log.Len() != 1 {
 		t.Fatalf("log has %d events", log.Len())
@@ -409,7 +409,7 @@ func TestRecycleReturnsBufferWithoutCorruption(t *testing.T) {
 	if r2.Len() != 0 {
 		t.Errorf("recycled recorder starts with %d events", r2.Len())
 	}
-	r2.Begin(0, TypeRequestAlive, r2.NewSource(SourceURLRequest), map[string]any{"url": "http://b/"})
+	r2.Begin(0, TypeRequestAlive, r2.NewSource(SourceURLRequest), Params{}.WithURL("http://b/"))
 	if got := r2.Log().Events[0].ParamString("url"); got != "http://b/" {
 		t.Errorf("event corrupted after recycle: %q", got)
 	}

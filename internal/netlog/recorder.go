@@ -71,24 +71,24 @@ func (r *Recorder) Add(e Event) {
 	r.mu.Unlock()
 }
 
-// Emit appends an event assembled from its parts. A nil params map is
-// permitted.
-func (r *Recorder) Emit(at time.Duration, t EventType, src Source, phase Phase, params map[string]any) {
+// Emit appends an event assembled from its parts; Params{} records an
+// event with no parameters.
+func (r *Recorder) Emit(at time.Duration, t EventType, src Source, phase Phase, params Params) {
 	r.Add(Event{Time: at, Type: t, Source: src, Phase: phase, Params: params})
 }
 
 // Begin emits a PHASE_BEGIN event.
-func (r *Recorder) Begin(at time.Duration, t EventType, src Source, params map[string]any) {
+func (r *Recorder) Begin(at time.Duration, t EventType, src Source, params Params) {
 	r.Emit(at, t, src, PhaseBegin, params)
 }
 
 // End emits a PHASE_END event.
-func (r *Recorder) End(at time.Duration, t EventType, src Source, params map[string]any) {
+func (r *Recorder) End(at time.Duration, t EventType, src Source, params Params) {
 	r.Emit(at, t, src, PhaseEnd, params)
 }
 
 // Point emits a PHASE_NONE (instantaneous) event.
-func (r *Recorder) Point(at time.Duration, t EventType, src Source, params map[string]any) {
+func (r *Recorder) Point(at time.Duration, t EventType, src Source, params Params) {
 	r.Emit(at, t, src, PhaseNone, params)
 }
 

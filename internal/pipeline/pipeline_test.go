@@ -23,24 +23,23 @@ func visitLog() *netlog.Log {
 	r := netlog.NewRecorder()
 
 	landing := r.NewSource(netlog.SourceURLRequest)
-	r.Begin(0, netlog.TypeRequestAlive, landing, map[string]any{"url": "https://ebay.com/", "initiator": "navigation"})
-	r.End(800*time.Millisecond, netlog.TypeRequestAlive, landing, map[string]any{"status_code": 200})
+	r.Begin(0, netlog.TypeRequestAlive, landing, netlog.Params{}.WithURL("https://ebay.com/").WithInitiator("navigation"))
+	r.End(800*time.Millisecond, netlog.TypeRequestAlive, landing, netlog.Params{}.WithStatusCode(200))
 
 	at := 10 * time.Second
 	for _, port := range portdb.ThreatMetrixPorts() {
 		src := r.NewSource(netlog.SourceWebSocket)
-		r.Begin(at, netlog.TypeRequestAlive, src, map[string]any{
-			"url":        fmt.Sprintf("wss://localhost:%d/", port),
-			"initiator":  "blob:threatmetrix:h.online-metrix.net",
-			"sop_exempt": true,
-		})
-		r.Point(at+3*time.Millisecond, netlog.TypeURLRequestError, src, map[string]any{"net_error": "ERR_CONNECTION_REFUSED"})
+		r.Begin(at, netlog.TypeRequestAlive, src, netlog.Params{}.
+			WithURL(fmt.Sprintf("wss://localhost:%d/", port)).
+			WithInitiator("blob:threatmetrix:h.online-metrix.net").
+			WithSOPExempt(true))
+		r.Point(at+3*time.Millisecond, netlog.TypeURLRequestError, src, netlog.Params{}.WithNetError("ERR_CONNECTION_REFUSED"))
 		at += 5 * time.Millisecond
 	}
 
 	lan := r.NewSource(netlog.SourceURLRequest)
-	r.Begin(3*time.Second, netlog.TypeRequestAlive, lan, map[string]any{"url": "http://192.168.0.10/wp-content/x.png", "initiator": "img"})
-	r.Point(12*time.Second, netlog.TypeSocketTimeout, lan, nil)
+	r.Begin(3*time.Second, netlog.TypeRequestAlive, lan, netlog.Params{}.WithURL("http://192.168.0.10/wp-content/x.png").WithInitiator("img"))
+	r.Point(12*time.Second, netlog.TypeSocketTimeout, lan, netlog.Params{})
 
 	return r.Log()
 }

@@ -50,27 +50,23 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		base = http.DefaultTransport
 	}
 	src := t.Rec.NewSource(netlog.SourceURLRequest)
-	t.Rec.Begin(t.since(), netlog.TypeRequestAlive, src, map[string]any{
-		"url":       req.URL.String(),
-		"method":    req.Method,
-		"initiator": "http-client",
-	})
+	t.Rec.Begin(t.since(), netlog.TypeRequestAlive, src, netlog.Params{}.
+		WithURL(req.URL.String()).
+		WithMethod(req.Method).
+		WithInitiator("http-client"))
 	resp, err := base.RoundTrip(req)
 	if err != nil {
-		t.Rec.Point(t.since(), netlog.TypeURLRequestError, src, map[string]any{
-			"url": req.URL.String(), "net_error": string(classifyErr(err)),
-		})
-		t.Rec.End(t.since(), netlog.TypeRequestAlive, src, nil)
+		t.Rec.Point(t.since(), netlog.TypeURLRequestError, src,
+			netlog.Params{}.WithURL(req.URL.String()).WithNetError(string(classifyErr(err))))
+		t.Rec.End(t.since(), netlog.TypeRequestAlive, src, netlog.Params{})
 		return nil, err
 	}
-	params := map[string]any{"status_code": resp.StatusCode}
 	if loc := resp.Header.Get("Location"); loc != "" && resp.StatusCode >= 300 && resp.StatusCode < 400 {
-		t.Rec.Point(t.since(), netlog.TypeURLRequestRedirect, src, map[string]any{
-			"url": req.URL.String(), "location": loc,
-		})
+		t.Rec.Point(t.since(), netlog.TypeURLRequestRedirect, src,
+			netlog.Params{}.WithURL(req.URL.String()).WithLocation(loc))
 	}
-	t.Rec.Point(t.since(), netlog.TypeHTTPTransactionReadHeaders, src, params)
-	t.Rec.End(t.since(), netlog.TypeRequestAlive, src, params)
+	t.Rec.Point(t.since(), netlog.TypeHTTPTransactionReadHeaders, src, netlog.Params{}.WithStatusCode(resp.StatusCode))
+	t.Rec.End(t.since(), netlog.TypeRequestAlive, src, netlog.Params{}.WithStatusCode(resp.StatusCode))
 	return resp, nil
 }
 
@@ -111,18 +107,18 @@ type ProbeResult struct {
 func ProbePort(rec *netlog.Recorder, at time.Duration, host string, port uint16, timeout time.Duration) ProbeResult {
 	src := rec.NewSource(netlog.SourceSocket)
 	addr := net.JoinHostPort(host, fmt.Sprint(port))
-	rec.Begin(at, netlog.TypeTCPConnect, src, map[string]any{"address": addr})
+	rec.Begin(at, netlog.TypeTCPConnect, src, netlog.Params{}.WithAddress(addr))
 	start := time.Now()
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	elapsed := time.Since(start)
 	res := ProbeResult{Host: host, Port: port, Elapsed: elapsed}
 	if err != nil {
 		res.Err = classifyErr(err)
-		rec.Point(at+elapsed, netlog.TypeSocketError, src, map[string]any{"net_error": string(res.Err)})
+		rec.Point(at+elapsed, netlog.TypeSocketError, src, netlog.Params{}.WithNetError(string(res.Err)))
 		return res
 	}
 	conn.Close()
 	res.Open = true
-	rec.End(at+elapsed, netlog.TypeTCPConnect, src, nil)
+	rec.End(at+elapsed, netlog.TypeTCPConnect, src, netlog.Params{})
 	return res
 }

@@ -304,8 +304,8 @@ func sampleNetLog(t testing.TB) *netlog.Log {
 	t.Helper()
 	r := netlog.NewRecorder()
 	src := r.NewSource(netlog.SourceURLRequest)
-	r.Begin(0, netlog.TypeRequestAlive, src, map[string]any{"url": "wss://localhost:5939/"})
-	r.Point(2*time.Millisecond, netlog.TypeURLRequestError, src, map[string]any{"net_error": "ERR_CONNECTION_REFUSED"})
+	r.Begin(0, netlog.TypeRequestAlive, src, netlog.Params{}.WithURL("wss://localhost:5939/"))
+	r.Point(2*time.Millisecond, netlog.TypeURLRequestError, src, netlog.Params{}.WithNetError("ERR_CONNECTION_REFUSED"))
 	return r.Log()
 }
 

@@ -70,6 +70,16 @@ var eventTypeCodes = map[EventType]int{
 	TypeBrowserBackgroundRequest:          90,
 }
 
+// eventTypesByName maps each registered type's name to its constant, so
+// a decoder can look up a name held in a byte slice without allocating.
+var eventTypesByName = func() map[string]EventType {
+	m := make(map[string]EventType, len(eventTypeCodes))
+	for t := range eventTypeCodes {
+		m[string(t)] = t
+	}
+	return m
+}()
+
 var eventTypeByCode = func() map[int]EventType {
 	m := make(map[int]EventType, len(eventTypeCodes))
 	for t, c := range eventTypeCodes {

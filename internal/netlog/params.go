@@ -80,14 +80,21 @@ var paramNames = [numParamKeys]string{
 	keySOPExempt:  "sop_exempt",
 }
 
-func keyByName(name string) (paramKey, bool) {
+// paramKeysByName inverts paramNames, and paramRanks gives each typed
+// key's place among the names in sorted order.
+var paramKeysByName, paramRanks = func() (map[string]paramKey, [numParamKeys]int) {
+	m := make(map[string]paramKey, numParamKeys)
+	var ranks [numParamKeys]int
 	for k, n := range paramNames {
-		if n == name {
-			return paramKey(k), true
+		m[n] = paramKey(k)
+		for _, other := range paramNames {
+			if other < n {
+				ranks[k]++
+			}
 		}
 	}
-	return 0, false
-}
+	return m, ranks
+}()
 
 func (p *Params) present(k paramKey) bool { return p.has&(1<<k) != 0 }
 
@@ -158,7 +165,7 @@ func (p *Params) extraValue(key string) any {
 // is absent or not a string.
 func (e *Event) ParamString(key string) string {
 	p := &e.Params
-	if k, ok := keyByName(key); ok && p.present(k) {
+	if k, ok := paramKeysByName[key]; ok && p.present(k) {
 		if k < numStringKeys {
 			return p.str[k]
 		}
@@ -173,7 +180,7 @@ func (e *Event) ParamString(key string) string {
 // int64 and float64 values are all accepted.
 func (e *Event) ParamInt(key string) (int, bool) {
 	p := &e.Params
-	if k, ok := keyByName(key); ok && p.present(k) {
+	if k, ok := paramKeysByName[key]; ok && p.present(k) {
 		if k >= keyStatusCode && k < keySOPExempt {
 			return p.num[k-keyStatusCode], true
 		}
@@ -209,7 +216,7 @@ func (p *Params) extraInt(key string) (int, bool) {
 // it is present as a boolean.
 func (e *Event) ParamBool(key string) (bool, bool) {
 	p := &e.Params
-	if k, ok := keyByName(key); ok && p.present(k) {
+	if k, ok := paramKeysByName[key]; ok && p.present(k) {
 		return p.flag && k == keySOPExempt, k == keySOPExempt
 	}
 	b, ok := p.extraValue(key).(bool)
@@ -262,7 +269,7 @@ func paramsFromMap(m map[string]any) Params {
 // encodes to the same text: integral, not negative zero, and within
 // ±2^53, beyond which a float64 is written rounded.
 func (p *Params) setTyped(key string, v any) bool {
-	k, ok := keyByName(key)
+	k, ok := paramKeysByName[key]
 	if !ok {
 		return false
 	}

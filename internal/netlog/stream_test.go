@@ -1,6 +1,7 @@
 package netlog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/knockandtalk/knockandtalk/internal/jsonscan"
 )
 
 func jsonlSampleLog(t testing.TB) *Log {
@@ -133,7 +136,8 @@ func TestJSONLLineTooLong(t *testing.T) {
 // panic, and anything accepted must round-trip through WriteJSONL. Its
 // oracle is the map[string]any encoding/json decodes each line's params
 // into: the accessors read what the map holds, and an accepted stream
-// re-encodes to the bytes the map rendering gives.
+// re-encodes to the bytes the map rendering gives. Each line the fast
+// path takes is also held to decodeJSONLEvent (checkFastPathLikeSlow).
 func FuzzReadJSONL(f *testing.F) {
 	var buf bytes.Buffer
 	log := jsonlSampleLog(f)
@@ -149,8 +153,20 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add(`{"time":"1","type":"REQUEST_ALIVE","source":{"type":"URL_REQUEST","id":1},"phase":0,"params":{"url":"http://a/?b&c","status_code":200.5,"x":{"y":[1,null]},"sop_exempt":false}}`)
 	f.Add(`{"time":"1","type":"REQUEST_ALIVE","source":{"type":"URL_REQUEST","id":1},"phase":0,"params":{"url":1},"params":{"url":"u","bytes":-0}}`)
 	f.Add(`{"time":"1","type":"REQUEST_ALIVE","source":{"type":"URL_REQUEST","id":1},"phase":0,"params":{"host":"\u0068"},"params":null}`)
+	const head = `{"time":"1","type":"REQUEST_ALIVE","source":{"type":"URL_REQUEST","id":1},"phase":0`
+	f.Add(head + `,"params":{"initiator":"https://a/","url":"http://a/?b\u0026c\u003cd\u003e"}}`)
+	f.Add(`{"time":"007","type":"REQUEST_ALIVE","source":{"type":"URL_REQUEST","id":1},"phase":0}`)
+	f.Add(head + `,"params":{"bytes":-0}}`)
+	f.Add(head + `,"params":{"bytes":9007199254740993}}`)
+	f.Add(head + `,"params":{"url":"a","url":"b"}}`)
+	f.Add(head + `,"params":{"url":"a","initiator":"b"}}`)
+	f.Add(head + `,"params":null}`)
+	f.Add(head + `,"params":{}}`)
+	f.Add(head + "}\r")
+	f.Add(head + `,"params":{"url":"a","x":{"url":"b"}}}`)
 
 	f.Fuzz(func(t *testing.T, input string) {
+		checkFastPathLikeSlow(t, input)
 		log, err := ReadJSONL(strings.NewReader(input))
 		if err != nil {
 			return
@@ -195,4 +211,96 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatalf("round trip changed event count: %d != %d", back.Len(), log.Len())
 		}
 	})
+}
+
+// checkFastPathLikeSlow splits input into lines as JSONLReader does and,
+// for each line the fast path accepts, requires that encoding/json
+// accepts it too and decodes the same event, and that the line is
+// WriteJSONL's rendering of that event up to string escaping: the same
+// JSON tokens in the same order, numbers as written.
+func checkFastPathLikeSlow(t *testing.T, input string) {
+	t.Helper()
+	sc := bufio.NewScanner(strings.NewReader(input))
+	sc.Buffer(nil, maxJSONLLine)
+	for sc.Scan() {
+		line := sc.Bytes()
+		var fast Event
+		if !decodeJSONLFast(&jsonscan.Scanner{}, line, &fast) {
+			continue
+		}
+		slow, err := decodeJSONLEvent(line)
+		if err != nil {
+			t.Fatalf("fast path accepted a line encoding/json rejects (%v): %q", err, line)
+		}
+		if !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("fast and slow paths decode %q differently\nfast %+v\nslow %+v", line, fast, slow)
+		}
+		var out bytes.Buffer
+		if err := (&Log{Events: []Event{fast}}).WriteJSONL(&out); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := jsonTokens(t, line), jsonTokens(t, out.Bytes()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fast path accepted a line WriteJSONL does not write\n got %q\nwant %q", line, out.Bytes())
+		}
+	}
+}
+
+// jsonTokens returns the JSON tokens of one value, numbers as written.
+func jsonTokens(t *testing.T, b []byte) []json.Token {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var toks []json.Token
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			return toks
+		}
+		if err != nil {
+			t.Fatalf("tokenizing %q: %v", b, err)
+		}
+		toks = append(toks, tok)
+	}
+}
+
+// TestJSONLReaderFastPathAllocs pins what the fast path allocates per
+// event: no params map and no event-type or source-type string, only
+// one string per string param.
+func TestJSONLReaderFastPathAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewRecorder()
+	r.Begin(time.Second, TypeURLRequestStartJob, r.NewSource(SourceURLRequest),
+		Params{}.WithURL("http://127.0.0.1:8080/status").WithInitiator("https://a.example/"))
+	if err := r.Log().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	line := buf.Bytes()
+	if !DecodesFast(bytes.TrimSuffix(line, []byte("\n"))) {
+		t.Fatalf("line not on the fast path: %s", line)
+	}
+	d := NewJSONLReader(&repeatReader{line: line})
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := d.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Next allocates %.1f times per event, want at most 2 (the url and initiator strings)", allocs)
+	}
+}
+
+// repeatReader yields line over and over.
+type repeatReader struct {
+	line []byte
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.line[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.line)
+	}
+	return n, nil
 }

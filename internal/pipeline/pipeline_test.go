@@ -1,11 +1,15 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/knockandtalk/knockandtalk/internal/classify"
 	"github.com/knockandtalk/knockandtalk/internal/groundtruth"
@@ -278,5 +282,92 @@ func TestIndexConcurrentRebuild(t *testing.T) {
 	view := IndexFor(st).Site("ebay.com")
 	if len(view.Locals) != len(out.Locals) {
 		t.Errorf("post-hammer Site(ebay.com) has %d locals, want %d", len(view.Locals), len(out.Locals))
+	}
+}
+
+// TestProcessInternsRecords runs Process on two visits whose strings are
+// equal but separately allocated. The local requests of both results
+// must hold one shared copy of each NetLog-derived string, share their
+// visit strings with their own page record, and still equal the records
+// built from the uninterned inputs.
+func TestProcessInternsRecords(t *testing.T) {
+	decoded := func() *netlog.Log {
+		var buf bytes.Buffer
+		if err := visitLog().WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		log, err := netlog.ReadJSONL(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	visit := func() Visit {
+		v := testVisit()
+		v.Category = "Shopping"
+		for _, s := range []*string{&v.Crawl, &v.OS, &v.Domain, &v.Category, &v.URL, &v.FinalURL} {
+			*s = strings.Clone(*s)
+		}
+		return v
+	}
+	// unique keeps a value canonical only while it is in use somewhere it
+	// can see (a Handle); a collection between the two calls would start
+	// a fresh copy.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	logA, logB := decoded(), decoded()
+	if a, b := logA.Events[0].ParamString("url"), logB.Events[0].ParamString("url"); unsafe.StringData(a) == unsafe.StringData(b) {
+		t.Fatal("decoded captures already share their strings")
+	}
+	va, vb := visit(), visit()
+	a, b := Process(logA, va, Options{}), Process(logB, vb, Options{})
+
+	same := func(what, x, y string) {
+		t.Helper()
+		if x == "" {
+			t.Fatalf("%s is empty; the test needs a value to share", what)
+		}
+		if x != y || unsafe.StringData(x) != unsafe.StringData(y) {
+			t.Errorf("%s not shared: %q at %p, %q at %p", what, x, unsafe.StringData(x), y, unsafe.StringData(y))
+		}
+	}
+	wantPage := store.PageRecord{
+		Crawl: va.Crawl, OS: va.OS, Domain: va.Domain, Rank: va.Rank, Category: va.Category,
+		URL: va.URL, FinalURL: va.FinalURL, CommittedAt: va.CommittedAt, Events: logA.Len(),
+	}
+	if !reflect.DeepEqual(a.Page, wantPage) {
+		t.Errorf("page record:\n got %+v\nwant %+v", a.Page, wantPage)
+	}
+
+	if len(a.Locals) == 0 || len(a.Locals) != len(b.Locals) {
+		t.Fatalf("locals: %d vs %d", len(a.Locals), len(b.Locals))
+	}
+	netErrors := 0
+	for i := range a.Locals {
+		la, lb := a.Locals[i], b.Locals[i]
+		same("local URL", la.URL, lb.URL)
+		same("local Host", la.Host, lb.Host)
+		same("local Path", la.Path, lb.Path)
+		same("local Initiator", la.Initiator, lb.Initiator)
+		if la.NetError != "" {
+			netErrors++
+			same("local NetError", la.NetError, lb.NetError)
+		}
+		same("local Crawl and page Crawl", la.Crawl, a.Page.Crawl)
+		same("local OS and page OS", la.OS, a.Page.OS)
+		same("local Domain and page Domain", la.Domain, a.Page.Domain)
+		same("local Category and page Category", la.Category, a.Page.Category)
+		f := a.Findings[i]
+		want := store.LocalRequest{
+			Crawl: va.Crawl, OS: va.OS, Domain: va.Domain, Rank: va.Rank, Category: va.Category,
+			URL: f.URL, Scheme: string(f.Scheme), Host: f.Host, Port: f.Port, Path: f.Path,
+			Dest: f.Dest.String(), Delay: max(f.At-va.CommittedAt, 0), Initiator: f.Initiator,
+			NetError: f.NetError, StatusCode: f.StatusCode, ViaRedirect: f.ViaRedirect, SOPExempt: f.SOPExempt,
+		}
+		if !reflect.DeepEqual(la, want) {
+			t.Errorf("local %d changed by interning:\n got %+v\nwant %+v", i, la, want)
+		}
+	}
+	if netErrors == 0 {
+		t.Fatal("no local request carries a net error; the test needs one to share")
 	}
 }

@@ -95,6 +95,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		committedAt = d
 	}
+	// Query values are substrings of the request line. The records
+	// committed below keep interned copies instead, so none of them
+	// holds the line alive and repeated values share one copy.
+	crawl, osName, domain, url = pipeline.Intern(crawl), pipeline.Intern(osName), pipeline.Intern(domain), pipeline.Intern(url)
+	category := pipeline.Intern(q.Get("category"))
 
 	// One trace record per upload, in the same form the crawler emits;
 	// the deferred End reports the final outcome whichever path returns.
@@ -178,7 +183,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// per-stage timings feeding /metrics and the visit trace.
 	out := pipeline.Process(log, pipeline.Visit{
 		Crawl: crawl, OS: osName, Domain: domain, Rank: rank,
-		Category: q.Get("category"), URL: url, CommittedAt: committedAt,
+		Category: category, URL: url, CommittedAt: committedAt,
 	}, pipeline.Options{
 		Classify: true,
 		Whois:    s.opts.Whois,

@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/knockandtalk/knockandtalk/internal/localnet"
 	"github.com/knockandtalk/knockandtalk/internal/netlog"
@@ -346,6 +348,47 @@ func postTestdata(t testing.TB, ts *httptest.Server, params string) IngestRespon
 		t.Fatal(err)
 	}
 	return ir
+}
+
+// TestIngestInternsRecords uploads one capture twice under the same
+// query. The two committed page records must share each visit string,
+// and the local requests each NetLog-derived string: a record that held
+// a substring of its request line would keep that line alive.
+func TestIngestInternsRecords(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	// unique keeps a value canonical only while it is in use somewhere it
+	// can see; a collection between the uploads would start a fresh copy.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const q = "domain=intern.example&os=Windows&crawl=live-test&category=Shopping&url=https://intern.example/"
+	postTestdata(t, ts, q)
+	postTestdata(t, ts, q)
+
+	st := srv.eng.Store()
+	pages := st.Pages(func(p *store.PageRecord) bool { return p.Domain == "intern.example" })
+	locals := st.Locals(func(l *store.LocalRequest) bool { return l.Domain == "intern.example" })
+	if len(pages) != 2 || len(locals) == 0 || len(locals)%2 != 0 {
+		t.Fatalf("committed %d pages and %d locals, want 2 and an even number", len(pages), len(locals))
+	}
+	same := func(what, x, y string) {
+		t.Helper()
+		if x == "" || x != y || unsafe.StringData(x) != unsafe.StringData(y) {
+			t.Errorf("%s not shared: %q at %p, %q at %p", what, x, unsafe.StringData(x), y, unsafe.StringData(y))
+		}
+	}
+	a, b := pages[0], pages[1]
+	same("page Crawl", a.Crawl, b.Crawl)
+	same("page OS", a.OS, b.OS)
+	same("page Domain", a.Domain, b.Domain)
+	same("page Category", a.Category, b.Category)
+	same("page URL", a.URL, b.URL)
+	half := len(locals) / 2
+	for i := range locals[:half] {
+		la, lb := locals[i], locals[half+i]
+		same("local URL", la.URL, lb.URL)
+		same("local Host", la.Host, lb.Host)
+		same("local Initiator", la.Initiator, lb.Initiator)
+		same("local Domain", la.Domain, a.Domain)
+	}
 }
 
 // TestIngestMatchesOfflinePipeline is the acceptance check: uploading a
@@ -723,6 +766,7 @@ func BenchmarkServeIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	events := bytes.Count(body, []byte("\n"))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := http.Post(

@@ -7,20 +7,18 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"unicode/utf16"
-	"unicode/utf8"
+
+	"github.com/knockandtalk/knockandtalk/internal/jsonscan"
 )
 
 // This file is the store's reflection-free read path. Save, the WAL
 // compactor and Log.appendCommit write records through encoding/json;
 // reading them back through it dominated recovery, so Load and
 // replayWAL first try recordDecoder, which accepts exactly the bytes
-// those encoders produce:
+// those encoders produce, token by token through package jsonscan:
 //
 //   - each record's known keys, in struct order, each at most once;
-//   - integers without fraction or exponent, booleans, and strings with
-//     the escapes json.Marshal writes (\" \\ \n \r \t and \uXXXX outside
-//     the surrogate range, such as its HTML-safe escape of '&');
+//   - the integers, booleans and strings jsonscan accepts;
 //   - a retained NetLog capture as one JSON object, checked by one
 //     json.Valid pass over its byte range and kept verbatim, as
 //     json.RawMessage keeps it.
@@ -170,15 +168,14 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// recordDecoder is the fast path. It is not safe for concurrent use;
-// Load and replayWAL make one per call, so the low-cardinality strings
-// it interns (crawl, OS, category, scheme, dest, initiator, net_error,
-// err) are shared among that call's records only.
+// recordDecoder is the fast path, built on the shared jsonscan
+// primitives. It is not safe for concurrent use; Load and replayWAL make
+// one per call, so the low-cardinality strings it interns (crawl, OS,
+// category, scheme, dest, initiator, net_error, err) are shared among
+// that call's records only.
 type recordDecoder struct {
-	b    []byte // input being decoded
-	i    int    // cursor into b
+	jsonscan.Scanner
 	strs map[string]string
-	esc  []byte // unescaping scratch
 }
 
 func newRecordDecoder() *recordDecoder {
@@ -189,21 +186,21 @@ func newRecordDecoder() *recordDecoder {
 // appends its record to into. For any line outside the fast-path shape
 // it reports false and appends nothing.
 func (d *recordDecoder) envelope(line []byte, into *walPayload) bool {
-	d.b, d.i = line, 0
+	d.Reset(line)
 	switch {
-	case d.lit(`{"t":"page","page":`):
+	case d.Lit(`{"t":"page","page":`):
 		var p PageRecord
 		if d.page(&p) && d.closes() {
 			into.Pages = append(into.Pages, p)
 			return true
 		}
-	case d.lit(`{"t":"local","local":`):
+	case d.Lit(`{"t":"local","local":`):
 		var l LocalRequest
 		if d.local(&l) && d.closes() {
 			into.Locals = append(into.Locals, l)
 			return true
 		}
-	case d.lit(`{"t":"netlog","netlog":`):
+	case d.Lit(`{"t":"netlog","netlog":`):
 		var n NetLogRecord
 		if d.netlog(&n) && d.closes() {
 			into.NetLogs = append(into.NetLogs, n)
@@ -214,19 +211,19 @@ func (d *recordDecoder) envelope(line []byte, into *walPayload) bool {
 }
 
 // closes reports whether exactly one closing brace remains.
-func (d *recordDecoder) closes() bool { return d.next('}') && d.i == len(d.b) }
+func (d *recordDecoder) closes() bool { return d.Next('}') && d.Done() }
 
 // frame decodes one WAL frame payload as appendCommit writes it.
 func (d *recordDecoder) frame(payload []byte) (p walPayload, ok bool) {
-	d.b, d.i = payload, 0
-	ok = d.object(func(key []byte) (int, bool) {
+	d.Reset(payload)
+	ok = d.Object(func(key []byte) (int, bool) {
 		switch string(key) {
 		case "s":
-			n, ok := d.digits()
+			n, ok := d.Digits()
 			p.Seq = n
 			return 0, ok
 		case "p":
-			return 1, d.array(func() bool {
+			return 1, d.Array(func() bool {
 				var r PageRecord
 				if !d.page(&r) {
 					return false
@@ -235,7 +232,7 @@ func (d *recordDecoder) frame(payload []byte) (p walPayload, ok bool) {
 				return true
 			})
 		case "l":
-			return 2, d.array(func() bool {
+			return 2, d.Array(func() bool {
 				var r LocalRequest
 				if !d.local(&r) {
 					return false
@@ -244,7 +241,7 @@ func (d *recordDecoder) frame(payload []byte) (p walPayload, ok bool) {
 				return true
 			})
 		case "n":
-			return 3, d.array(func() bool {
+			return 3, d.Array(func() bool {
 				var r NetLogRecord
 				if !d.netlog(&r) {
 					return false
@@ -255,11 +252,11 @@ func (d *recordDecoder) frame(payload []byte) (p walPayload, ok bool) {
 		}
 		return 0, false
 	})
-	return p, ok && d.i == len(d.b)
+	return p, ok && d.Done()
 }
 
 func (d *recordDecoder) page(p *PageRecord) bool {
-	return d.object(func(key []byte) (int, bool) {
+	return d.Object(func(key []byte) (int, bool) {
 		switch string(key) {
 		case "crawl":
 			return 0, d.str(&p.Crawl, true)
@@ -287,7 +284,7 @@ func (d *recordDecoder) page(p *PageRecord) bool {
 }
 
 func (d *recordDecoder) local(l *LocalRequest) bool {
-	return d.object(func(key []byte) (int, bool) {
+	return d.Object(func(key []byte) (int, bool) {
 		switch string(key) {
 		case "crawl":
 			return 0, d.str(&l.Crawl, true)
@@ -306,7 +303,7 @@ func (d *recordDecoder) local(l *LocalRequest) bool {
 		case "host":
 			return 7, d.str(&l.Host, false)
 		case "port":
-			n, ok := d.digits()
+			n, ok := d.Digits()
 			l.Port = uint16(n)
 			return 8, ok && n <= math.MaxUint16
 		case "path":
@@ -331,7 +328,7 @@ func (d *recordDecoder) local(l *LocalRequest) bool {
 }
 
 func (d *recordDecoder) netlog(n *NetLogRecord) bool {
-	return d.object(func(key []byte) (int, bool) {
+	return d.Object(func(key []byte) (int, bool) {
 		switch string(key) {
 		case "crawl":
 			return 0, d.str(&n.Crawl, true)
@@ -340,7 +337,7 @@ func (d *recordDecoder) netlog(n *NetLogRecord) bool {
 		case "domain":
 			return 2, d.str(&n.Domain, false)
 		case "log":
-			raw, ok := d.rawObject()
+			raw, ok := d.RawObject()
 			n.Log = append(json.RawMessage(nil), raw...)
 			return 3, ok
 		}
@@ -348,309 +345,39 @@ func (d *recordDecoder) netlog(n *NetLogRecord) bool {
 	})
 }
 
-// object decodes one JSON object. field decodes the member value at the
-// cursor and returns its key's ordinal. Ordinals must rise strictly, as
-// in encoding/json's output; that also rules out a repeated key, which
-// encoding/json would merge or overwrite.
-func (d *recordDecoder) object(field func(key []byte) (int, bool)) bool {
-	if !d.next('{') {
-		return false
-	}
-	if d.next('}') {
-		return true
-	}
-	last := -1
-	for {
-		key, ok := d.key()
-		if !ok {
-			return false
-		}
-		ord, ok := field(key)
-		if !ok || ord <= last {
-			return false
-		}
-		last = ord
-		if d.next('}') {
-			return true
-		}
-		if !d.next(',') {
-			return false
-		}
-	}
-}
-
-// array decodes a non-empty JSON array, calling elem at each element.
-// An empty array, which decodes to a non-nil empty slice and which
-// omitempty never writes, is left to encoding/json.
-func (d *recordDecoder) array(elem func() bool) bool {
-	if !d.next('[') {
-		return false
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if d.next(']') {
-			return true
-		}
-		if !d.next(',') {
-			return false
-		}
-	}
-}
-
-// key decodes an unescaped object key and the colon after it.
-func (d *recordDecoder) key() ([]byte, bool) {
-	b := d.b
-	if d.i >= len(b) || b[d.i] != '"' {
-		return nil, false
-	}
-	start := d.i + 1
-	for i := start; i < len(b); i++ {
-		switch b[i] {
-		case '"':
-			if i+1 < len(b) && b[i+1] == ':' {
-				d.i = i + 2
-				return b[start:i], true
-			}
-			return nil, false
-		case '\\':
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
 // str decodes a string value into dst, interning it when intern is set.
 func (d *recordDecoder) str(dst *string, intern bool) bool {
-	b := d.b
-	if d.i >= len(b) || b[d.i] != '"' {
+	b, ok := d.Str()
+	if !ok {
 		return false
 	}
-	start := d.i + 1
-	ascii := true
-	for i := start; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			raw := b[start:i]
-			if !ascii && !utf8.Valid(raw) {
-				return false
-			}
-			d.i = i + 1
-			*dst = d.text(raw, intern)
-			return true
-		case c == '\\':
-			return d.escaped(dst, start, intern)
-		case c < 0x20:
-			return false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return false
-}
-
-// escaped decodes a string that contains a backslash, from the byte
-// after its opening quote, unescaping into the scratch buffer. Bytes
-// outside escapes must be valid UTF-8, which holds exactly when the
-// unescaped result is: an escape always yields whole UTF-8 sequences.
-func (d *recordDecoder) escaped(dst *string, start int, intern bool) bool {
-	b := d.b
-	out := d.esc[:0]
-	ascii := true
-	for i := start; i < len(b); i++ {
-		c := b[i]
-		switch {
-		case c == '"':
-			d.esc = out
-			if !ascii && !utf8.Valid(out) {
-				return false
-			}
-			d.i = i + 1
-			*dst = d.text(out, intern)
-			return true
-		case c == '\\':
-			i++
-			if i == len(b) {
-				return false
-			}
-			switch e := b[i]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				r, ok := hex4(b[i+1:])
-				if !ok || utf16.IsSurrogate(r) {
-					return false
-				}
-				out = utf8.AppendRune(out, r)
-				i += 4
-			default:
-				return false
-			}
-		case c < 0x20:
-			return false
-		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
-			out = append(out, c)
-		}
-	}
-	return false
-}
-
-// hex4 decodes the four hex digits of a \u escape.
-func hex4(b []byte) (rune, bool) {
-	if len(b) < 4 {
-		return 0, false
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, false
-		}
-		r = r<<4 | rune(c)
-	}
-	return r, true
-}
-
-// text returns b as a string, from the interned set when intern is set.
-func (d *recordDecoder) text(b []byte, intern bool) string {
 	if !intern {
-		return string(b)
+		*dst = string(b)
+	} else if s, ok := d.strs[string(b)]; ok {
+		*dst = s
+	} else {
+		*dst = string(b)
+		d.strs[*dst] = *dst
 	}
-	if s, ok := d.strs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	d.strs[s] = s
-	return s
+	return true
 }
 
-// digits decodes an unsigned integer literal. Past 19 digits it gives
-// up, leaving range errors to encoding/json.
-func (d *recordDecoder) digits() (uint64, bool) {
-	b := d.b
-	start := d.i
-	var n uint64
-	i := start
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		if n >= 1e18 {
-			return 0, false
-		}
-		n = n*10 + uint64(b[i]-'0')
-	}
-	if i == start || (b[start] == '0' && i > start+1) {
-		return 0, false
-	}
-	d.i = i
-	return n, true
-}
-
-// int64 decodes an integer literal that fits an int64.
+// int64 decodes an integer literal that fits an int64 into dst.
 func (d *recordDecoder) int64(dst *int64) bool {
-	neg := d.next('-')
-	n, ok := d.digits()
-	if !ok || n > math.MaxInt64 {
-		return false
-	}
-	*dst = int64(n)
-	if neg {
-		*dst = -*dst
-	}
-	return true
+	n, ok := d.Int64()
+	*dst = n
+	return ok
 }
 
-// int decodes an integer literal that fits an int.
+// int decodes an integer literal that fits an int into dst.
 func (d *recordDecoder) int(dst *int) bool {
-	var n int64
-	if !d.int64(&n) || int64(int(n)) != n {
-		return false
-	}
-	*dst = int(n)
-	return true
+	n, ok := d.Int()
+	*dst = n
+	return ok
 }
 
 func (d *recordDecoder) bool(dst *bool) bool {
-	switch {
-	case d.lit("true"):
-		*dst = true
-	case d.lit("false"):
-		*dst = false
-	default:
-		return false
-	}
-	return true
-}
-
-// rawObject returns the JSON object at the cursor verbatim. A bracket
-// scan that skips strings finds where it ends, and one json.Valid pass
-// over exactly that range checks it: a range that starts with '{', ends
-// with its matching '}' and is valid JSON is the one value encoding/json
-// would have taken.
-func (d *recordDecoder) rawObject() ([]byte, bool) {
-	b := d.b
-	start := d.i
-	if start >= len(b) || b[start] != '{' {
-		return nil, false
-	}
-	depth := 0
-	for i := start; i < len(b); i++ {
-		switch b[i] {
-		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
-			}
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-			if depth == 0 {
-				raw := b[start : i+1]
-				if !json.Valid(raw) {
-					return nil, false
-				}
-				d.i = i + 1
-				return raw, true
-			}
-		}
-	}
-	return nil, false
-}
-
-// next consumes c if it is the byte at the cursor.
-func (d *recordDecoder) next(c byte) bool {
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// lit consumes s if the input continues with it.
-func (d *recordDecoder) lit(s string) bool {
-	if len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
-		return false
-	}
-	d.i += len(s)
-	return true
+	v, ok := d.Bool()
+	*dst = v
+	return ok
 }

@@ -82,20 +82,14 @@ func (f LocalsFilter) Key() string {
 // Locals returns the matching local requests in canonical store order,
 // truncated to Limit, plus the total match count before truncation.
 // Sorting keeps listings stable across processes; raw shard iteration
-// order depends on a per-process hash seed.
+// order depends on a per-process hash seed. Only the rows returned are
+// copied out of the store (store.SelectLocals).
 func (e *Engine) Locals(f LocalsFilter) ([]store.LocalRequest, int) {
-	rows := e.st.Locals(func(l *store.LocalRequest) bool {
-		return (f.Domain == "" || l.Domain == f.Domain) &&
-			(f.Dest == "" || l.Dest == f.Dest) &&
+	return e.st.SelectLocals(f.Domain, func(l *store.LocalRequest) bool {
+		return (f.Dest == "" || l.Dest == f.Dest) &&
 			(f.OS == "" || l.OS == f.OS) &&
 			(f.Crawl == "" || l.Crawl == f.Crawl)
-	})
-	store.SortLocals(rows)
-	total := len(rows)
-	if f.Limit > 0 && total > f.Limit {
-		rows = rows[:f.Limit]
-	}
-	return rows, total
+	}, f.Limit)
 }
 
 // PagesFilter selects page records. Zero-valued fields match
@@ -117,18 +111,11 @@ func (f PagesFilter) Key() string {
 // Pages returns the matching page records in canonical store order,
 // truncated to Limit, plus the total match count before truncation.
 func (e *Engine) Pages(f PagesFilter) ([]store.PageRecord, int) {
-	rows := e.st.Pages(func(p *store.PageRecord) bool {
-		return (f.Domain == "" || p.Domain == f.Domain) &&
-			(f.OS == "" || p.OS == f.OS) &&
+	return e.st.SelectPages(f.Domain, func(p *store.PageRecord) bool {
+		return (f.OS == "" || p.OS == f.OS) &&
 			(f.Crawl == "" || p.Crawl == f.Crawl) &&
 			(f.Err == "" || p.Err == f.Err)
-	})
-	store.SortPages(rows)
-	total := len(rows)
-	if f.Limit > 0 && total > f.Limit {
-		rows = rows[:f.Limit]
-	}
-	return rows, total
+	}, f.Limit)
 }
 
 // SiteReport is one domain's full telemetry: its page visits, its

@@ -463,45 +463,51 @@ func sortAll(pages []PageRecord, locals []LocalRequest, netlogs []NetLogRecord) 
 // Shard iteration order is seed-dependent per process, so any consumer
 // that shows a snapshot to a user should sort it first.
 func SortPages(pages []PageRecord) {
-	sort.Slice(pages, func(i, j int) bool {
-		a, b := &pages[i], &pages[j]
-		if a.Crawl != b.Crawl {
-			return a.Crawl < b.Crawl
-		}
-		if a.OS != b.OS {
-			return a.OS < b.OS
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		// Same site visited at different paths (the login-page
-		// extension appends to the same store).
-		return a.URL < b.URL
-	})
+	sort.Slice(pages, func(i, j int) bool { return pageLess(&pages[i], &pages[j]) })
 }
 
 // SortLocals sorts local requests into the canonical serialization
 // order; see SortPages.
 func SortLocals(locals []LocalRequest) {
-	sort.Slice(locals, func(i, j int) bool {
-		a, b := &locals[i], &locals[j]
-		if a.Crawl != b.Crawl {
-			return a.Crawl < b.Crawl
-		}
-		if a.OS != b.OS {
-			return a.OS < b.OS
-		}
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		if a.Delay != b.Delay {
-			return a.Delay < b.Delay
-		}
-		return a.URL < b.URL
-	})
+	sort.Slice(locals, func(i, j int) bool { return localLess(&locals[i], &locals[j]) })
+}
+
+// pageLess is the canonical page order: crawl, OS, rank, domain, URL.
+// Save and the listing selection both order by it.
+func pageLess(a, b *PageRecord) bool {
+	if a.Crawl != b.Crawl {
+		return a.Crawl < b.Crawl
+	}
+	if a.OS != b.OS {
+		return a.OS < b.OS
+	}
+	if a.Rank != b.Rank {
+		return a.Rank < b.Rank
+	}
+	if a.Domain != b.Domain {
+		return a.Domain < b.Domain
+	}
+	// Same site visited at different paths (the login-page
+	// extension appends to the same store).
+	return a.URL < b.URL
+}
+
+// localLess is the canonical local-request order: crawl, OS, domain,
+// delay, URL.
+func localLess(a, b *LocalRequest) bool {
+	if a.Crawl != b.Crawl {
+		return a.Crawl < b.Crawl
+	}
+	if a.OS != b.OS {
+		return a.OS < b.OS
+	}
+	if a.Domain != b.Domain {
+		return a.Domain < b.Domain
+	}
+	if a.Delay != b.Delay {
+		return a.Delay < b.Delay
+	}
+	return a.URL < b.URL
 }
 
 // envelope is the JSONL line format: a type tag plus one payload.

@@ -1,7 +1,7 @@
-// Storage-engine benchmark: the incremental index must beat a
-// from-scratch rebuild by at least 10x for single-visit ingests. WAL
-// append and recovery are measured end to end by knockbench's ingest
-// and recover workloads.
+// Storage-engine benchmarks: the incremental index must beat a
+// from-scratch rebuild by at least 10x for single-visit ingests, and
+// listings are measured with their allocations. WAL append and recovery
+// are measured end to end by knockbench's ingest and recover workloads.
 package knockandtalk_test
 
 import (
@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/knockandtalk/knockandtalk/internal/goldencampaign"
 	"github.com/knockandtalk/knockandtalk/internal/pipeline"
+	"github.com/knockandtalk/knockandtalk/internal/serve/queryengine"
 	"github.com/knockandtalk/knockandtalk/internal/store"
 )
 
@@ -103,5 +105,38 @@ func BenchmarkStoreEngine(b *testing.B) {
 	if speedup < 10 {
 		b.Fatalf("delta apply is only %.1fx faster than a cold rebuild (need >= 10x): cold %v, delta %v",
 			speedup, cold, delta)
+	}
+}
+
+// listingSink keeps BenchmarkListings' results live.
+var listingSink int
+
+// BenchmarkListings measures the /v1/pages and /v1/locals render path
+// (Engine.Pages and Engine.Locals at the server's usual page size) over
+// the golden campaign corpus: unfiltered, one crawl, and one domain.
+// Allocations are reported because a listing should copy out only the
+// rows it returns, not every match.
+func BenchmarkListings(b *testing.B) {
+	eng := queryengine.New(goldenStore(b))
+	crawl := string(goldencampaign.Crawls[0])
+	first, _ := eng.Locals(queryengine.LocalsFilter{Limit: 1})
+	domain := first[0].Domain
+	for _, bc := range []struct {
+		name string
+		run  func() int
+	}{
+		{"pages/all", func() int { _, n := eng.Pages(queryengine.PagesFilter{Limit: 100}); return n }},
+		{"pages/crawl", func() int { _, n := eng.Pages(queryengine.PagesFilter{Crawl: crawl, Limit: 100}); return n }},
+		{"pages/domain", func() int { _, n := eng.Pages(queryengine.PagesFilter{Domain: domain, Limit: 100}); return n }},
+		{"locals/all", func() int { _, n := eng.Locals(queryengine.LocalsFilter{Limit: 100}); return n }},
+		{"locals/crawl", func() int { _, n := eng.Locals(queryengine.LocalsFilter{Crawl: crawl, Limit: 100}); return n }},
+		{"locals/domain", func() int { _, n := eng.Locals(queryengine.LocalsFilter{Domain: domain, Limit: 100}); return n }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				listingSink += bc.run()
+			}
+		})
 	}
 }

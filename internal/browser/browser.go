@@ -4,9 +4,9 @@
 // network stack in NetLog form.
 //
 // The browser runs on a machine (hostenv.Profile) attached to the public
-// synthetic web (simnet.Network). Requests to loopback and RFC1918
-// destinations route to the machine's own localhost table and LAN
-// inventory — the mechanism that makes a website's local probes succeed
+// synthetic web (simnet.Network). Requests to every non-public address
+// space (simnet.AddrSpace) route to the machine's own localhost table and
+// LAN inventory — the mechanism that makes a website's local probes succeed
 // or fail depending on what the visitor's host is running.
 //
 // Fidelity notes, mirroring §3.1 of the paper:
@@ -22,10 +22,6 @@
 package browser
 
 import (
-	"fmt"
-	"net/url"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/hostenv"
@@ -137,7 +133,7 @@ func (b *Browser) Visit(rawURL string) *VisitResult {
 	}
 
 	if b.Opts.SafeBrowsing && b.Opts.SafeBrowsingList != nil {
-		if host := hostOf(rawURL); b.Opts.SafeBrowsingList[host] {
+		if u, err := simnet.SplitURL(rawURL); err == nil && b.Opts.SafeBrowsingList[u.Host] {
 			res.Err = simnet.ErrBlockedByClient
 			src := rec.NewSource(netlog.SourceURLRequest)
 			rec.Point(0, netlog.TypeURLRequestError, src,
@@ -234,50 +230,4 @@ type fetchOutcome struct {
 	status   int
 	finalURL string
 	document any
-}
-
-// parsedURL holds the destructured request target.
-type parsedURL struct {
-	scheme simnet.Scheme
-	host   string
-	port   uint16
-	path   string
-}
-
-func parseURL(raw string) (parsedURL, error) {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return parsedURL{}, err
-	}
-	scheme := simnet.Scheme(strings.ToLower(u.Scheme))
-	switch scheme {
-	case simnet.SchemeHTTP, simnet.SchemeHTTPS, simnet.SchemeWS, simnet.SchemeWSS:
-	default:
-		return parsedURL{}, fmt.Errorf("browser: unsupported scheme %q", u.Scheme)
-	}
-	host := u.Hostname()
-	if host == "" {
-		return parsedURL{}, fmt.Errorf("browser: no host in %q", raw)
-	}
-	port := scheme.DefaultPort()
-	if p := u.Port(); p != "" {
-		n, err := strconv.ParseUint(p, 10, 16)
-		if err != nil {
-			return parsedURL{}, fmt.Errorf("browser: bad port %q", p)
-		}
-		port = uint16(n)
-	}
-	path := u.RequestURI()
-	if path == "" {
-		path = "/"
-	}
-	return parsedURL{scheme: scheme, host: host, port: port, path: path}, nil
-}
-
-func hostOf(raw string) string {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return ""
-	}
-	return u.Hostname()
 }

@@ -208,6 +208,35 @@ func TestLocalhostProbeOutcomes(t *testing.T) {
 	}
 }
 
+// TestLocalhostSubdomainReachesListener pins that every *.localhost
+// name, in any case and with a trailing dot, resolves to loopback
+// without DNS and reaches the machine's own listener, as the detector
+// counts it.
+func TestLocalhostSubdomainReachesListener(t *testing.T) {
+	page := &webdoc.Page{
+		URL: "https://site.test/",
+		Steps: []webdoc.Step{
+			{At: time.Second, URL: "http://FOO.LOCALHOST:5939/", Initiator: "script"},
+			{At: time.Second, URL: "http://bar.localhost.:5939/", Initiator: "script"},
+		},
+	}
+	b := newTestBrowser(testWorld(page), hostenv.Windows)
+	served := 0
+	b.Profile.ListenLocalService(5939, simnet.ServiceFunc(func(req *simnet.Request) *simnet.Response {
+		served++
+		return &simnet.Response{Status: 200}
+	}))
+	flows := b.Visit("https://site.test/").Log.Flows()
+	for _, f := range flows {
+		if f.URL != "https://site.test/" && (f.NetError != "" || f.StatusCode != 200) {
+			t.Errorf("%s: error %q status %d, want a 200 from the local listener", f.URL, f.NetError, f.StatusCode)
+		}
+	}
+	if len(flows) != 3 || served != 2 {
+		t.Fatalf("%d flows, listener served %d, want 3 flows and 2 requests", len(flows), served)
+	}
+}
+
 func TestRedirectToLocalhostIsFollowedAndLogged(t *testing.T) {
 	net := simnet.NewNetwork(1)
 	addr := netip.MustParseAddr("203.0.113.13")

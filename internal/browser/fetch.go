@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"time"
 
-	"github.com/knockandtalk/knockandtalk/internal/hostenv"
 	"github.com/knockandtalk/knockandtalk/internal/netlog"
 	"github.com/knockandtalk/knockandtalk/internal/simnet"
 )
@@ -25,7 +24,12 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 		done(fetchOutcome{err: err, finalURL: u})
 	}
 
-	target, err := parseURL(req.rawURL)
+	target, err := simnet.SplitURL(req.rawURL)
+	switch target.Scheme {
+	case simnet.SchemeHTTP, simnet.SchemeHTTPS, simnet.SchemeWS, simnet.SchemeWSS:
+	default:
+		err = simnet.ErrAborted // the browser fetches no other scheme
+	}
 	if err != nil {
 		src := req.source
 		if src == (netlog.Source{}) {
@@ -40,7 +44,7 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 	src := req.source
 	if src == (netlog.Source{}) {
 		srcType := netlog.SourceURLRequest
-		if target.scheme.WebSocket() {
+		if target.Scheme.WebSocket() {
 			srcType = netlog.SourceWebSocket
 		}
 		src = v.rec.NewSource(srcType)
@@ -48,10 +52,10 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 			WithURL(req.rawURL).
 			WithInitiator(req.initiator).
 			WithMethod("GET").
-			WithSOPExempt(target.scheme.WebSocket()))
+			WithSOPExempt(target.Scheme.WebSocket()))
 	}
 
-	if PortRestricted(target.port) {
+	if PortRestricted(target.Port) {
 		// Chrome rejects unsafe ports before touching the network; the
 		// attempt is still visible in the log (and to the detector).
 		fail(src, req.rawURL, simnet.ErrUnsafePort)
@@ -63,7 +67,7 @@ func (v *visit) fetch(req request, done func(fetchOutcome)) {
 			fail(src, req.rawURL, resErr)
 			return
 		}
-		path := v.path(addr, target.port)
+		path := v.path(addr, target.Port)
 		v.connect(src, target, addr, path, func(ep simnet.Endpoint, connErr simnet.NetError) {
 			if connErr.IsFailure() {
 				fail(src, req.rawURL, connErr)
@@ -110,38 +114,38 @@ func (v *visit) path(addr netip.Addr, port uint16) simnet.Path {
 	})
 }
 
-// resolve performs name resolution. Loopback names and IP literals
-// resolve synchronously (Chrome special-cases localhost); everything
-// else goes through the stub resolver with the active conditions'
+// resolve performs name resolution. IP literals and loopback-space names
+// (localhost and *.localhost) resolve synchronously, as in Chrome; every
+// other name goes through the stub resolver with the active conditions'
 // lookup latency. Under DNS impairment a lookup can die at the resolver
 // (ERR_DNS_TIMED_OUT), a failure mode distinct from NXDOMAIN.
-func (v *visit) resolve(target parsedURL, done func(netip.Addr, simnet.NetError)) {
-	if ip, err := netip.ParseAddr(target.host); err == nil {
+func (v *visit) resolve(target simnet.URLParts, done func(netip.Addr, simnet.NetError)) {
+	if ip, err := netip.ParseAddr(target.Host); err == nil {
 		done(ip, simnet.OK)
 		return
 	}
-	if target.host == "localhost" {
+	if simnet.HostSpace(target.Host) == simnet.SpaceLoopback {
 		done(netip.MustParseAddr("127.0.0.1"), simnet.OK)
 		return
 	}
-	dns := v.b.cond.Path(v.b.Net.Seed, simnet.Flow{Vantage: v.b.flowVantage, Host: target.host})
+	dns := v.b.cond.Path(v.b.Net.Seed, simnet.Flow{Vantage: v.b.flowVantage, Host: target.Host})
 	dnsSrc := v.rec.NewSource(netlog.SourceHostResolver)
-	v.rec.Begin(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, netlog.Params{}.WithHost(target.host))
+	v.rec.Begin(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, netlog.Params{}.WithHost(target.Host))
 	if dns.DNSTimeout {
 		v.sched.After(dns.DNSTimeoutAfter, func() {
 			v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc,
-				netlog.Params{}.WithHost(target.host).WithNetError(string(simnet.ErrDNSTimedOut)))
+				netlog.Params{}.WithHost(target.Host).WithNetError(string(simnet.ErrDNSTimedOut)))
 			done(netip.Addr{}, simnet.ErrDNSTimedOut)
 		})
 		return
 	}
-	addrs, nerr := v.b.Net.Resolver.Resolve(target.host)
+	addrs, nerr := v.b.Net.Resolver.Resolve(target.Host)
 	delay := dns.DNSResolve
 	if nerr.IsFailure() {
 		delay = dns.DNSFailure
 	}
 	v.sched.After(delay, func() {
-		params := netlog.Params{}.WithHost(target.host)
+		params := netlog.Params{}.WithHost(target.Host)
 		if nerr.IsFailure() {
 			v.rec.End(v.sched.Now(), netlog.TypeHostResolverJob, dnsSrc, params.WithNetError(string(nerr)))
 			done(netip.Addr{}, nerr)
@@ -152,11 +156,11 @@ func (v *visit) resolve(target parsedURL, done func(netip.Addr, simnet.NetError)
 	})
 }
 
-// locate routes the destination: loopback and RFC1918 addresses are
+// locate routes the destination: every non-public address space is
 // answered by the visiting machine's own environment, everything else by
 // the public network.
 func (v *visit) locate(addr netip.Addr, port uint16) simnet.Endpoint {
-	if hostenv.IsLocalDestination(addr) {
+	if simnet.AddrSpace(addr) != simnet.SpacePublic {
 		return v.b.Profile.Locate(addr, port)
 	}
 	return v.b.Net.Locate(addr, port)
@@ -167,15 +171,15 @@ func (v *visit) locate(addr netip.Addr, port uint16) simnet.Endpoint {
 // WebSockets always open a fresh socket, as Chrome does. A connection
 // the link drops (path.Drop) times out like an unroutable destination,
 // even on a listening port.
-func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, path simnet.Path, done func(simnet.Endpoint, simnet.NetError)) {
-	ep := v.locate(addr, target.port)
+func (v *visit) connect(src netlog.Source, target simnet.URLParts, addr netip.Addr, path simnet.Path, done func(simnet.Endpoint, simnet.NetError)) {
+	ep := v.locate(addr, target.Port)
 	outcome := ep.Outcome
 	if path.Drop {
 		outcome = simnet.DialTimeout
 	}
-	hostport := netip.AddrPortFrom(addr, target.port).String()
-	key := poolKey(target.scheme, hostport)
-	if !target.scheme.WebSocket() && outcome == simnet.DialAccepted {
+	hostport := netip.AddrPortFrom(addr, target.Port).String()
+	key := poolKey(target.Scheme, hostport)
+	if !target.Scheme.WebSocket() && outcome == simnet.DialAccepted {
 		if v.pool == nil {
 			v.pool = map[string]netlog.Source{}
 		}
@@ -188,7 +192,7 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 	rtt := path.RTT
 	sockSrc := v.rec.NewSource(netlog.SourceSocket)
 	v.rec.Begin(v.sched.Now(), netlog.TypeTCPConnect, sockSrc,
-		netlog.Params{}.WithAddress(netip.AddrPortFrom(addr, target.port).String()))
+		netlog.Params{}.WithAddress(netip.AddrPortFrom(addr, target.Port).String()))
 	var wait time.Duration
 	switch outcome {
 	case simnet.DialAccepted, simnet.DialRefused:
@@ -205,8 +209,8 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 			return
 		}
 		v.rec.End(v.sched.Now(), netlog.TypeTCPConnect, sockSrc, netlog.Params{})
-		if !target.scheme.Secure() {
-			if !target.scheme.WebSocket() && v.pool != nil {
+		if !target.Scheme.Secure() {
+			if !target.Scheme.WebSocket() && v.pool != nil {
 				v.pool[key] = sockSrc
 			}
 			done(ep, simnet.OK)
@@ -217,7 +221,7 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 		switch {
 		case ep.TLS == nil || ep.TLS.Broken:
 			tlsErr = simnet.ErrSSLProtocolError
-		case !ep.TLS.ValidFor(target.host) && !addrIsLocal(addr):
+		case !ep.TLS.ValidFor(target.Host) && simnet.AddrSpace(addr) == simnet.SpacePublic:
 			// Chrome still flags bad local certs, but the localhost
 			// services the study saw use self-signed certs users have
 			// trusted; the simulation accepts them so that the probe
@@ -231,7 +235,7 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 				return
 			}
 			v.rec.End(v.sched.Now(), netlog.TypeSSLConnect, sockSrc, netlog.Params{})
-			if !target.scheme.WebSocket() && v.pool != nil {
+			if !target.Scheme.WebSocket() && v.pool != nil {
 				v.pool[key] = sockSrc
 			}
 			done(ep, simnet.OK)
@@ -239,32 +243,30 @@ func (v *visit) connect(src netlog.Source, target parsedURL, addr netip.Addr, pa
 	})
 }
 
-func addrIsLocal(addr netip.Addr) bool { return hostenv.IsLocalDestination(addr) }
-
 // transact performs the HTTP exchange or WebSocket handshake on an
 // established connection.
-func (v *visit) transact(src netlog.Source, req request, target parsedURL, addr netip.Addr, ep simnet.Endpoint, path simnet.Path, done func(*simnet.Response, simnet.NetError)) {
+func (v *visit) transact(src netlog.Source, req request, target simnet.URLParts, addr netip.Addr, ep simnet.Endpoint, path simnet.Path, done func(*simnet.Response, simnet.NetError)) {
 	rtt := path.RTT
 	sreq := &simnet.Request{
 		Method:    "GET",
-		Scheme:    target.scheme,
-		Host:      target.host,
+		Scheme:    target.Scheme,
+		Host:      target.Host,
 		Addr:      addr,
-		Port:      target.port,
-		Path:      target.path,
+		Port:      target.Port,
+		Path:      target.Path,
 		UserAgent: v.b.Profile.OS.UserAgent(),
 		Origin:    v.res.URL,
 	}
 	if req.navigation && v.b.Opts.ParseHTML {
 		sreq.Header = map[string]string{rawHTMLHeader: "1"}
 	}
-	ws := target.scheme.WebSocket()
+	ws := target.Scheme.WebSocket()
 	if ws {
 		v.rec.Begin(v.sched.Now(), netlog.TypeWebSocketSendHandshakeRequest, src, netlog.Params{}.WithURL(req.rawURL))
 	} else {
 		v.rec.Begin(v.sched.Now(), netlog.TypeHTTPTransactionSendRequest, src, netlog.Params{})
 		v.rec.Point(v.sched.Now(), netlog.TypeHTTPTransactionSendRequestHeaders, src,
-			netlog.Params{}.WithMethod("GET").WithPath(target.path).WithUserAgent(sreq.UserAgent))
+			netlog.Params{}.WithMethod("GET").WithPath(target.Path).WithUserAgent(sreq.UserAgent))
 	}
 	resp := serve(ep.Service, sreq)
 	wait := rtt

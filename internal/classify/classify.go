@@ -13,6 +13,7 @@
 package classify
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -70,13 +71,11 @@ func rootish(path string) bool {
 	return path == "/" || path == "" || strings.HasPrefix(path, "/?")
 }
 
+// portsWithin reports whether every probed port is in set. The sets are
+// a handful of ports, so a scan beats building a map on every call.
 func (ev evidence) portsWithin(set []uint16) bool {
-	allowed := map[uint16]bool{}
-	for _, p := range set {
-		allowed[p] = true
-	}
 	for p := range ev.ports {
-		if !allowed[p] {
+		if !slices.Contains(set, p) {
 			return false
 		}
 	}

@@ -82,7 +82,7 @@ var userAgents = map[OS]string{
 func (o OS) UserAgent() string { return userAgents[o] }
 
 // Profile is one crawling machine: an OS plus its local network view.
-// It implements simnet.Locator for loopback and RFC1918 destinations.
+// It implements simnet.Locator for every non-public address space.
 type Profile struct {
 	OS      OS
 	Version string
@@ -121,12 +121,6 @@ func (p *Profile) ListenLocalService(port uint16, svc simnet.Service) {
 	p.ListenLocal(port, simnet.Endpoint{Outcome: simnet.DialAccepted, Service: svc})
 }
 
-// LocalPorts returns the number of bound localhost ports.
-func (p *Profile) LocalPorts() int { return len(p.localhost) }
-
-// AddLANDevice registers a live LAN host; ports without bindings refuse.
-func (p *Profile) AddLANDevice(addr netip.Addr) { p.lanHosts[addr] = true }
-
 // BindLAN attaches an endpoint on a LAN device's port, registering the
 // device if needed.
 func (p *Profile) BindLAN(addr netip.Addr, port uint16, ep simnet.Endpoint) {
@@ -139,7 +133,7 @@ func (p *Profile) BindLAN(addr netip.Addr, port uint16, ep simnet.Endpoint) {
 // answers with RST immediately); LAN addresses with no device silently
 // time out (nothing answers ARP); live LAN devices refuse unbound ports.
 func (p *Profile) Locate(addr netip.Addr, port uint16) simnet.Endpoint {
-	if addr.IsLoopback() {
+	if simnet.AddrSpace(addr) == simnet.SpaceLoopback {
 		if ep, ok := p.localhost[port]; ok {
 			return ep
 		}
@@ -152,13 +146,6 @@ func (p *Profile) Locate(addr netip.Addr, port uint16) simnet.Endpoint {
 		return simnet.Endpoint{Outcome: simnet.DialRefused}
 	}
 	return simnet.Endpoint{Outcome: simnet.DialTimeout}
-}
-
-// IsLocalDestination reports whether this machine considers the address
-// local (loopback or private); such dials route to the profile rather
-// than the public network.
-func IsLocalDestination(addr netip.Addr) bool {
-	return addr.IsLoopback() || addr.IsPrivate() || addr.IsLinkLocalUnicast()
 }
 
 // DefaultProfile builds the measurement-VM profile the paper used for

@@ -105,6 +105,8 @@ func TestDefaultProfiles(t *testing.T) {
 	}
 }
 
+// TestIsLocalDestination pins which addresses the machine routes locally:
+// every address space but the public one.
 func TestIsLocalDestination(t *testing.T) {
 	cases := map[string]bool{
 		"127.0.0.1":      true,
@@ -114,13 +116,15 @@ func TestIsLocalDestination(t *testing.T) {
 		"172.16.205.110": true,
 		"192.168.64.160": true,
 		"169.254.4.4":    true,
+		"0.0.0.0":        true,
+		"fd00::1":        true,
 		"8.8.8.8":        false,
 		"203.0.113.1":    false,
 		"172.32.0.1":     false, // just past 172.16/12
 	}
 	for s, want := range cases {
-		if got := IsLocalDestination(netip.MustParseAddr(s)); got != want {
-			t.Errorf("IsLocalDestination(%s) = %v, want %v", s, got, want)
+		if got := simnet.AddrSpace(netip.MustParseAddr(s)) != simnet.SpacePublic; got != want {
+			t.Errorf("local(%s) = %v, want %v", s, got, want)
 		}
 	}
 }

@@ -1,17 +1,15 @@
 // Package localnet is the study's core detector: given the NetLog
 // telemetry of a page visit, it identifies every request destined for
-// the visitor's localhost (the localhost domain or loopback addresses,
-// 127.0.0.0/8 and ::1) or LAN (the IANA-reserved private ranges of
-// RFC1918 for IPv4 and their IPv6 analogues), including requests that
-// only appear as redirect targets, while filtering out traffic the
-// browser itself generates.
+// the visitor's localhost (localhost, *.localhost, loopback 127.0.0.0/8
+// and ::1, unspecified 0.0.0.0 and ::) or LAN (RFC1918 and fc00::/7),
+// including requests that only appear as redirect targets, while
+// filtering out traffic the browser itself generates. Link-local
+// addresses (169.254/16 and fe80::/10) count as LAN in both families.
+// Hosts are classified in canonical form through simnet's host model,
+// the one the browser routes with.
 package localnet
 
 import (
-	"net/netip"
-	"net/url"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/netlog"
@@ -40,25 +38,14 @@ func (d Dest) String() string {
 	}
 }
 
-// ClassifyHost classifies a URL host component (a name or an IP
-// literal).
+// ClassifyHost classifies a canonical URL host (simnet.CanonicalHost,
+// as simnet.SplitURL returns it) by its simnet.HostSpace: the loopback
+// space is localhost, the private and link-local spaces are LAN.
 func ClassifyHost(host string) Dest {
-	if host == "localhost" || strings.HasSuffix(host, ".localhost") {
+	switch simnet.HostSpace(host) {
+	case simnet.SpaceLoopback:
 		return DestLocalhost
-	}
-	ip, err := netip.ParseAddr(strings.Trim(host, "[]"))
-	if err != nil {
-		return DestPublic
-	}
-	switch {
-	case ip.IsLoopback():
-		return DestLocalhost
-	case ip.Is4() && ip.IsPrivate():
-		return DestLAN
-	case ip.Is6() && (ip.IsPrivate() || ip.IsLinkLocalUnicast()):
-		// Unique-local (fc00::/7) and link-local (fe80::/10) are the
-		// IPv6 LAN analogues. The paper observed no IPv6 local traffic,
-		// but the detector covers it.
+	case simnet.SpacePrivate, simnet.SpaceLinkLocal:
 		return DestLAN
 	default:
 		return DestPublic
@@ -70,7 +57,8 @@ func ClassifyHost(host string) Dest {
 type Finding struct {
 	// URL is the full local request URL.
 	URL string
-	// Scheme, Host, Port, Path are its components.
+	// Scheme, Host, Port, Path are its components (simnet.SplitURL);
+	// Host is canonical.
 	Scheme simnet.Scheme
 	Host   string
 	Port   uint16
@@ -92,28 +80,6 @@ type Finding struct {
 	// SOPExempt marks WebSocket traffic, which the Same-Origin Policy
 	// does not bind.
 	SOPExempt bool
-}
-
-// parseTarget destructures a URL into finding components; ok is false
-// for unparseable or schemeless URLs.
-func parseTarget(raw string) (scheme simnet.Scheme, host string, port uint16, path string, ok bool) {
-	u, err := url.Parse(raw)
-	if err != nil || u.Scheme == "" || u.Hostname() == "" {
-		return "", "", 0, "", false
-	}
-	scheme = simnet.Scheme(strings.ToLower(u.Scheme))
-	host = u.Hostname()
-	port = scheme.DefaultPort()
-	if p := u.Port(); p != "" {
-		if n, err := strconv.ParseUint(p, 10, 16); err == nil {
-			port = uint16(n)
-		}
-	}
-	path = u.RequestURI()
-	if path == "" {
-		path = "/"
-	}
-	return scheme, host, port, path, true
 }
 
 // Options tune the detector, primarily for ablation studies; the zero
@@ -158,26 +124,26 @@ func FromLogOpts(log *netlog.Log, opts Options) []Finding {
 }
 
 func findingFromURL(raw string, flow *netlog.Flow, viaRedirect bool) (Finding, bool) {
-	scheme, host, port, path, ok := parseTarget(raw)
-	if !ok {
+	u, err := simnet.SplitURL(raw)
+	if err != nil {
 		return Finding{}, false
 	}
-	dest := ClassifyHost(host)
+	dest := ClassifyHost(u.Host)
 	if dest == DestPublic {
 		return Finding{}, false
 	}
 	return Finding{
 		URL:         raw,
-		Scheme:      scheme,
-		Host:        host,
-		Port:        port,
-		Path:        path,
+		Scheme:      u.Scheme,
+		Host:        u.Host,
+		Port:        u.Port,
+		Path:        u.Path,
 		Dest:        dest,
 		At:          flow.Start,
 		Initiator:   flow.Initiator,
 		NetError:    flow.NetError,
 		StatusCode:  flow.StatusCode,
 		ViaRedirect: viaRedirect,
-		SOPExempt:   scheme.WebSocket(),
+		SOPExempt:   u.Scheme.WebSocket(),
 	}, true
 }

@@ -22,6 +22,8 @@ func TestClassifyHost(t *testing.T) {
 		"192.168.64.160":  DestLAN,
 		"fd00::1":         DestLAN,
 		"fe80::1":         DestLAN,
+		"169.254.1.1":     DestLAN, // link-local is LAN in both families
+		"0.0.0.0":         DestLocalhost,
 		"172.32.0.1":      DestPublic, // just past 172.16/12
 		"192.169.0.1":     DestPublic,
 		"11.0.0.1":        DestPublic,
@@ -146,27 +148,26 @@ func TestParseTargetPortDefaults(t *testing.T) {
 		{"http://localhost:8080/a?b=1", 8080, "/a?b=1"},
 	}
 	for _, c := range cases {
-		_, _, port, path, ok := parseTarget(c.url)
-		if !ok || port != c.port || path != c.path {
-			t.Errorf("parseTarget(%q) = port %d path %q ok=%v", c.url, port, path, ok)
+		f, ok := findingFromURL(c.url, &netlog.Flow{}, false)
+		if !ok || f.Port != c.port || f.Path != c.path {
+			t.Errorf("findingFromURL(%q) = port %d path %q ok=%v", c.url, f.Port, f.Path, ok)
 		}
 	}
-	if _, _, _, _, ok := parseTarget("not a url\x7f://"); ok {
-		t.Error("garbage URL accepted")
-	}
-	if _, _, _, _, ok := parseTarget("/relative/only"); ok {
-		t.Error("schemeless URL accepted")
+	for _, bad := range []string{"not a url\x7f://", "/relative/only", "http://localhost:99999/"} {
+		if f, ok := findingFromURL(bad, &netlog.Flow{}, false); ok {
+			t.Errorf("%q accepted as %+v", bad, f)
+		}
 	}
 }
 
-// Property: ClassifyHost over all IPv4 space agrees with the RFC1918 +
-// loopback definitions.
+// Property: ClassifyHost over all IPv4 space agrees with the RFC1918,
+// link-local, loopback and unspecified-address definitions.
 func TestQuickClassifyIPv4(t *testing.T) {
 	f := func(a, b, c, d byte) bool {
 		host := netipString(a, b, c, d)
 		got := ClassifyHost(host)
-		isLoop := a == 127
-		isPriv := a == 10 || (a == 172 && b >= 16 && b <= 31) || (a == 192 && b == 168)
+		isLoop := a == 127 || a|b|c|d == 0
+		isPriv := a == 10 || (a == 172 && b >= 16 && b <= 31) || (a == 192 && b == 168) || (a == 169 && b == 254)
 		switch {
 		case isLoop:
 			return got == DestLocalhost

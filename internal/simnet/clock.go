@@ -1,8 +1,9 @@
 // Package simnet provides the virtual network substrate for the crawl
 // simulation: a deterministic discrete-event clock, a DNS resolver with
-// the failure modes observed in the paper's crawls, a latency model, and
+// the failure modes observed in the paper's crawls, a latency model,
 // message-level dial/request semantics for HTTP(S) and WebSocket
-// endpoints.
+// endpoints, and the one host model (host.go: URL splitting and address
+// spaces) that the browser, the detector and the conditions decide with.
 //
 // The paper's substrate was the live Internet observed through Chrome's
 // network stack; this package is the offline substitution. Everything is

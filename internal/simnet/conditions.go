@@ -114,34 +114,7 @@ func (c *Conditions) Impaired() bool {
 	return false
 }
 
-// linkClass buckets destinations the way the old LatencyModel did:
-// loopback, RFC1918 IPv4, link-local, everything else public. Flows with
-// no destination yet (DNS lookups) ride the public link.
-type linkClass uint8
-
-const (
-	linkLoopback linkClass = iota
-	linkLAN
-	linkLinkLocal
-	linkPublic
-)
-
-func classify(dst netip.Addr) linkClass {
-	switch {
-	case !dst.IsValid():
-		return linkPublic
-	case dst.IsLoopback():
-		return linkLoopback
-	case dst.Is4() && dst.IsPrivate():
-		return linkLAN
-	case dst.IsLinkLocalUnicast():
-		return linkLinkLocal
-	default:
-		return linkPublic
-	}
-}
-
-// Scope selects which destination classes a stage affects, so a lossy
+// Scope selects which address spaces a stage affects, so a lossy
 // wifi link can hurt LAN and public flows while loopback stays perfect.
 type Scope uint8
 
@@ -158,18 +131,9 @@ const (
 	ScopeAll = ScopeLoopback | ScopeRemote
 )
 
-func (s Scope) has(c linkClass) bool {
-	switch c {
-	case linkLoopback:
-		return s&ScopeLoopback != 0
-	case linkLAN:
-		return s&ScopeLAN != 0
-	case linkLinkLocal:
-		return s&ScopeLinkLocal != 0
-	default:
-		return s&ScopePublic != 0
-	}
-}
+// has reports whether the scope covers an address space; the Scope bits
+// follow the Space order.
+func (s Scope) has(sp Space) bool { return s&(1<<sp) != 0 }
 
 // BaseLatency adds the class base RTT for the destination.
 type BaseLatency struct {
@@ -178,16 +142,7 @@ type BaseLatency struct {
 
 // Apply implements Stage.
 func (s BaseLatency) Apply(seed uint64, f Flow, p *Path) {
-	switch classify(f.Dst) {
-	case linkLoopback:
-		p.RTT += s.Loopback
-	case linkLAN:
-		p.RTT += s.LAN
-	case linkLinkLocal:
-		p.RTT += s.LinkLocal
-	default:
-		p.RTT += s.Public
-	}
+	p.RTT += [...]time.Duration{s.Loopback, s.LAN, s.LinkLocal, s.Public}[AddrSpace(f.Dst)]
 }
 
 // Jitter adds deterministic per-destination jitter, up to the class
@@ -200,17 +155,7 @@ type Jitter struct {
 
 // Apply implements Stage.
 func (s Jitter) Apply(seed uint64, f Flow, p *Path) {
-	var max time.Duration
-	switch classify(f.Dst) {
-	case linkLoopback:
-		max = s.Loopback
-	case linkLAN:
-		max = s.LAN
-	case linkLinkLocal:
-		max = s.LinkLocal
-	default:
-		max = s.Public
-	}
+	max := [...]time.Duration{s.Loopback, s.LAN, s.LinkLocal, s.Public}[AddrSpace(f.Dst)]
 	p.RTT += flowJitter(seed, f.Vantage, f.Dst, max)
 }
 
@@ -260,7 +205,7 @@ type Loss struct {
 
 // Apply implements Stage.
 func (s Loss) Apply(seed uint64, f Flow, p *Path) {
-	if s.Rate <= 0 || !s.Scope.has(classify(f.Dst)) {
+	if s.Rate <= 0 || !s.Scope.has(AddrSpace(f.Dst)) {
 		return
 	}
 	if flowDraw(seed, "loss", f.Vantage, f.Dst, f.Port, "") < s.Rate {
@@ -277,7 +222,7 @@ type Bandwidth struct {
 
 // Apply implements Stage.
 func (s Bandwidth) Apply(seed uint64, f Flow, p *Path) {
-	if s.BytesPerSec <= 0 || !s.Scope.has(classify(f.Dst)) {
+	if s.BytesPerSec <= 0 || !s.Scope.has(AddrSpace(f.Dst)) {
 		return
 	}
 	if p.BytesPerSec == 0 || s.BytesPerSec < p.BytesPerSec {
@@ -348,62 +293,11 @@ func nominalFor(name string, v Vantage) *Conditions {
 	return c
 }
 
-// The named impairment profiles. Base/jitter figures follow the shaping
-// recipes netem deployments use for these link types; loss and DNS rates
-// rise with severity so the detection-degradation sweep decays
-// monotonically along SweepOrder.
-func residentialCongested() *Conditions {
-	return &Conditions{
-		Name:        "residential-congested",
-		FlowVantage: "residential-congested",
-		Stages: []Stage{
-			BaseLatency{Loopback: 150 * time.Microsecond, LAN: 2 * time.Millisecond, LinkLocal: time.Millisecond, Public: 85 * time.Millisecond},
-			Jitter{Loopback: 250 * time.Microsecond, LAN: 6 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 110 * time.Millisecond},
-			Loss{Rate: 0.02, Scope: ScopePublic},
-			Bandwidth{BytesPerSec: 750_000, Scope: ScopePublic},
-			DNSImpairment{ResolveDelay: 45 * time.Millisecond, FailureDelay: 300 * time.Millisecond, TimeoutRate: 0.01},
-		},
-	}
-}
-
-func mobile3G() *Conditions {
-	return &Conditions{
-		Name:        "mobile-3g",
-		FlowVantage: "mobile-3g",
-		Stages: []Stage{
-			BaseLatency{Loopback: 150 * time.Microsecond, LAN: time.Millisecond, LinkLocal: time.Millisecond, Public: 180 * time.Millisecond},
-			Jitter{Loopback: 250 * time.Microsecond, LAN: 4 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 220 * time.Millisecond},
-			Loss{Rate: 0.05, Scope: ScopePublic},
-			Bandwidth{BytesPerSec: 48_000, Scope: ScopePublic},
-			DNSImpairment{ResolveDelay: 90 * time.Millisecond, FailureDelay: 500 * time.Millisecond, TimeoutRate: 0.03, TimeoutAfter: 5 * time.Second},
-		},
-	}
-}
-
-func satellite() *Conditions {
-	return &Conditions{
-		Name:        "satellite",
-		FlowVantage: "satellite",
-		Stages: []Stage{
-			BaseLatency{Loopback: 150 * time.Microsecond, LAN: time.Millisecond, LinkLocal: time.Millisecond, Public: 600 * time.Millisecond},
-			Jitter{Loopback: 250 * time.Microsecond, LAN: 4 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 160 * time.Millisecond},
-			Loss{Rate: 0.09, Scope: ScopePublic},
-			Bandwidth{BytesPerSec: 135_000, Scope: ScopePublic},
-			DNSImpairment{ResolveDelay: 650 * time.Millisecond, FailureDelay: 1200 * time.Millisecond, TimeoutRate: 0.05, TimeoutAfter: 6 * time.Second},
-		},
-	}
-}
-
-func lossyWifi() *Conditions {
-	return &Conditions{
-		Name:        "lossy-wifi",
-		FlowVantage: "lossy-wifi",
-		Stages: []Stage{
-			BaseLatency{Loopback: 150 * time.Microsecond, LAN: 3 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 35 * time.Millisecond},
-			Jitter{Loopback: 250 * time.Microsecond, LAN: 8 * time.Millisecond, LinkLocal: 4 * time.Millisecond, Public: 48 * time.Millisecond},
-			Loss{Rate: 0.08, Scope: ScopeRemote},
-		},
-	}
+// impaired builds a named impairment profile. Its flows hash on the
+// profile name, so the impairment pattern is independent of the
+// crawling OS.
+func impaired(name string, stages ...Stage) *Conditions {
+	return &Conditions{Name: name, FlowVantage: name, Stages: stages}
 }
 
 // SweepOrder is the severity chain the detection-degradation sweep
@@ -421,7 +315,10 @@ func ProfileNames() []string {
 
 // ProfileByName resolves a named profile. The empty string and "nominal"
 // return nil: run under the crawling machine's own vantage, unimpaired —
-// the byte-identical-to-golden configuration.
+// the byte-identical-to-golden configuration. The impairment profiles'
+// base/jitter figures follow the shaping recipes netem deployments use
+// for these link types; loss and DNS rates rise with severity so the
+// detection-degradation sweep decays monotonically along SweepOrder.
 func ProfileByName(name string) (*Conditions, error) {
 	switch name {
 	case "", "nominal":
@@ -431,13 +328,35 @@ func ProfileByName(name string) (*Conditions, error) {
 	case "nominal-residential":
 		return nominalFor("nominal-residential", VantageResidential), nil
 	case "residential-congested":
-		return residentialCongested(), nil
+		return impaired("residential-congested",
+			BaseLatency{Loopback: 150 * time.Microsecond, LAN: 2 * time.Millisecond, LinkLocal: time.Millisecond, Public: 85 * time.Millisecond},
+			Jitter{Loopback: 250 * time.Microsecond, LAN: 6 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 110 * time.Millisecond},
+			Loss{Rate: 0.02, Scope: ScopePublic},
+			Bandwidth{BytesPerSec: 750_000, Scope: ScopePublic},
+			DNSImpairment{ResolveDelay: 45 * time.Millisecond, FailureDelay: 300 * time.Millisecond, TimeoutRate: 0.01},
+		), nil
 	case "mobile-3g":
-		return mobile3G(), nil
+		return impaired("mobile-3g",
+			BaseLatency{Loopback: 150 * time.Microsecond, LAN: time.Millisecond, LinkLocal: time.Millisecond, Public: 180 * time.Millisecond},
+			Jitter{Loopback: 250 * time.Microsecond, LAN: 4 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 220 * time.Millisecond},
+			Loss{Rate: 0.05, Scope: ScopePublic},
+			Bandwidth{BytesPerSec: 48_000, Scope: ScopePublic},
+			DNSImpairment{ResolveDelay: 90 * time.Millisecond, FailureDelay: 500 * time.Millisecond, TimeoutRate: 0.03, TimeoutAfter: 5 * time.Second},
+		), nil
 	case "satellite":
-		return satellite(), nil
+		return impaired("satellite",
+			BaseLatency{Loopback: 150 * time.Microsecond, LAN: time.Millisecond, LinkLocal: time.Millisecond, Public: 600 * time.Millisecond},
+			Jitter{Loopback: 250 * time.Microsecond, LAN: 4 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 160 * time.Millisecond},
+			Loss{Rate: 0.09, Scope: ScopePublic},
+			Bandwidth{BytesPerSec: 135_000, Scope: ScopePublic},
+			DNSImpairment{ResolveDelay: 650 * time.Millisecond, FailureDelay: 1200 * time.Millisecond, TimeoutRate: 0.05, TimeoutAfter: 6 * time.Second},
+		), nil
 	case "lossy-wifi":
-		return lossyWifi(), nil
+		return impaired("lossy-wifi",
+			BaseLatency{Loopback: 150 * time.Microsecond, LAN: 3 * time.Millisecond, LinkLocal: 2 * time.Millisecond, Public: 35 * time.Millisecond},
+			Jitter{Loopback: 250 * time.Microsecond, LAN: 8 * time.Millisecond, LinkLocal: 4 * time.Millisecond, Public: 48 * time.Millisecond},
+			Loss{Rate: 0.08, Scope: ScopeRemote},
+		), nil
 	default:
 		return nil, fmt.Errorf("simnet: unknown network profile %q (have %v)", name, ProfileNames())
 	}

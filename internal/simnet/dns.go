@@ -50,15 +50,16 @@ func (r *Resolver) Len() int {
 	return len(r.zone)
 }
 
-// Resolve looks up a name. Following Chrome's behavior, "localhost"
-// always resolves to the loopback addresses without consulting DNS, and
-// IP literals resolve to themselves.
+// Resolve looks up a canonical host name. IP literals resolve to
+// themselves and, following Chrome's behavior, localhost and every
+// *.localhost name (HostSpace) resolve to the loopback addresses without
+// consulting DNS.
 func (r *Resolver) Resolve(name string) ([]netip.Addr, NetError) {
-	if name == "localhost" {
-		return []netip.Addr{netip.MustParseAddr("127.0.0.1"), netip.IPv6Loopback()}, OK
-	}
 	if ip, err := netip.ParseAddr(name); err == nil {
 		return []netip.Addr{ip}, OK
+	}
+	if HostSpace(name) == SpaceLoopback {
+		return []netip.Addr{netip.MustParseAddr("127.0.0.1"), netip.IPv6Loopback()}, OK
 	}
 	if addrs, ok := r.zone[name]; ok && len(addrs) > 0 {
 		out := make([]netip.Addr, len(addrs))

@@ -40,7 +40,7 @@ func (s Scheme) DefaultPort() uint16 {
 type Request struct {
 	Method    string // GET or POST
 	Scheme    Scheme
-	Host      string // host component as written in the URL
+	Host      string // the URL's host, canonical (CanonicalHost)
 	Addr      netip.Addr
 	Port      uint16
 	Path      string // path plus query

@@ -22,6 +22,7 @@
 package browser
 
 import (
+	"net/netip"
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/hostenv"
@@ -67,7 +68,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// Browser is one Chrome instance bound to a machine and a network.
+// Browser is one Chrome instance bound to a machine and a network. It
+// visits one page at a time: a crawl runs one Browser per worker.
 type Browser struct {
 	Profile *hostenv.Profile
 	Net     *simnet.Network
@@ -77,6 +79,17 @@ type Browser struct {
 	// the identity its per-flow hashes key on.
 	cond        *simnet.Conditions
 	flowVantage string
+	// sched and pool are the visit clock and the keep-alive sockets,
+	// emptied at the start of every visit and kept for their storage.
+	sched *simnet.Scheduler
+	pool  map[poolKey]netlog.Source
+}
+
+// poolKey identifies a reusable connection: TLS and cleartext sockets
+// to one address and port are kept apart.
+type poolKey struct {
+	secure bool
+	addr   netip.AddrPort
 }
 
 // New returns a browser on the given machine, attached to the given
@@ -96,7 +109,8 @@ func New(profile *hostenv.Profile, net *simnet.Network, opts Options) *Browser {
 	if vantage == "" {
 		vantage = profile.Vantage.Name
 	}
-	return &Browser{Profile: profile, Net: net, Opts: opts, cond: cond, flowVantage: vantage}
+	return &Browser{Profile: profile, Net: net, Opts: opts, cond: cond, flowVantage: vantage,
+		sched: simnet.NewScheduler(), pool: map[poolKey]netlog.Source{}}
 }
 
 // VisitResult is the outcome of one page visit.
@@ -125,7 +139,9 @@ func (b *Browser) Visit(rawURL string) *VisitResult {
 	if b.Opts.MaxLogEvents > 0 {
 		rec = netlog.NewBoundedRecorder(b.Opts.MaxLogEvents)
 	}
-	sched := simnet.NewScheduler()
+	sched := b.sched
+	sched.Reset()
+	clear(b.pool)
 
 	v := &visit{b: b, rec: rec, sched: sched, res: res}
 	if b.Opts.Background {
@@ -160,9 +176,10 @@ func (b *Browser) Visit(rawURL string) *VisitResult {
 			page = compileHTML(doc, out.finalURL, b.Profile.OS.String())
 		}
 		if page != nil {
+			// The scheduler runs same-time events in scheduling order,
+			// so page order here runs the steps in SortedSteps order.
 			base := res.CommittedAt
-			for _, step := range page.SortedSteps() {
-				step := step
+			for _, step := range page.Steps {
 				sched.At(base+step.At, func() {
 					v.fetch(request{rawURL: step.URL, initiator: step.Initiator}, func(fetchOutcome) {})
 				})
@@ -180,18 +197,6 @@ type visit struct {
 	rec   *netlog.Recorder
 	sched *simnet.Scheduler
 	res   *VisitResult
-	// pool tracks established connections per host:port for keep-alive
-	// reuse, keyed by scheme to keep TLS and cleartext sockets apart.
-	pool map[string]netlog.Source
-}
-
-// poolKey identifies a reusable connection.
-func poolKey(scheme simnet.Scheme, hostport string) string {
-	tls := "tcp"
-	if scheme.Secure() {
-		tls = "tls"
-	}
-	return tls + "/" + hostport
 }
 
 // emitBackground produces the browser-internal traffic every Chrome

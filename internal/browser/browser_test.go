@@ -3,8 +3,11 @@ package browser
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/hostenv"
@@ -434,5 +437,82 @@ func TestConnectionKeepAliveReuse(t *testing.T) {
 	}
 	if reuses != 2 {
 		t.Errorf("socket reuses = %d, want 2", reuses)
+	}
+}
+
+// Visit schedules a page's steps in page order. The scheduler runs
+// same-time events in scheduling order, and the steps are scheduled
+// back to back, so page order runs them exactly as scheduling
+// SortedSteps would, interleaved the same way with events queued
+// before and after them. Script offsets are never negative, so no step
+// is clamped to the present.
+func TestPageOrderRunsAsSortedSteps(t *testing.T) {
+	const base = time.Second // the page's commit time
+	f := func(ats, before, after []uint8) bool {
+		page := &webdoc.Page{}
+		for i, at := range ats {
+			page.Steps = append(page.Steps, webdoc.Step{At: time.Duration(at%16) * time.Millisecond, URL: fmt.Sprint("step", i)})
+		}
+		run := func(steps []webdoc.Step) []string {
+			s := simnet.NewScheduler()
+			var got []string
+			other := func(name string, ats []uint8) {
+				for i, at := range ats {
+					s.At(base+time.Duration(at%20)*time.Millisecond, func() { got = append(got, fmt.Sprint(name, i)) })
+				}
+			}
+			other("before", before)
+			s.At(base, func() {
+				for _, step := range steps {
+					s.At(s.Now()+step.At, func() { got = append(got, step.URL) })
+				}
+				other("after", after)
+			})
+			s.Run()
+			return got
+		}
+		return slices.Equal(run(page.Steps), run(page.SortedSteps()))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// A reused browser's visits match a fresh browser's, although the
+// earlier visit left a step queued past its window and a kept-alive
+// socket in the pool.
+func TestReusedBrowserMatchesFresh(t *testing.T) {
+	page := &webdoc.Page{URL: "https://site.test/", Steps: []webdoc.Step{
+		{At: 100 * time.Millisecond, URL: "https://site.test/a.js", Initiator: "parser"},
+		{At: 30 * time.Second, URL: "http://127.0.0.1:8000/late", Initiator: "script"},
+	}}
+	net := testWorld(page)
+	reused := newTestBrowser(net, hostenv.Linux)
+	reused.Visit("https://site.test/")
+	a, b := reused.Visit("https://site.test/"), newTestBrowser(net, hostenv.Linux).Visit("https://site.test/")
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("reused browser's visit differs:\n%+v\nfresh:\n%+v", a.Log.Events, b.Log.Events)
+	}
+}
+
+// The allocation budget of a warm browser's visit: a fixed cost per
+// visit and a per-fetch cost on a kept-alive socket, most of it the
+// fetch pipeline's continuations. Name tests, the keep-alive key and
+// the visit clock allocate nothing.
+func TestVisitAllocs(t *testing.T) {
+	const maxPerVisit, maxPerFetch = 20, 13
+	allocs := func(steps int) float64 {
+		page := &webdoc.Page{URL: "https://site.test/"}
+		for i := 0; i < steps; i++ {
+			page.Steps = append(page.Steps, webdoc.Step{At: time.Duration(i) * time.Millisecond, URL: fmt.Sprintf("https://site.test/a%d.js", i)})
+		}
+		b := newTestBrowser(testWorld(page), hostenv.Linux)
+		b.Visit("https://site.test/").Log.Recycle()
+		return testing.AllocsPerRun(50, func() { b.Visit("https://site.test/").Log.Recycle() })
+	}
+	perVisit := allocs(0)
+	perFetch := (allocs(10) - perVisit) / 10
+	if perVisit > maxPerVisit || perFetch > maxPerFetch {
+		t.Errorf("%v allocs per visit and %v per kept-alive fetch, budget %d and %d", perVisit, perFetch, maxPerVisit, maxPerFetch)
 	}
 }

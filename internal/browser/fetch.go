@@ -120,7 +120,7 @@ func (v *visit) path(addr netip.Addr, port uint16) simnet.Path {
 // lookup latency. Under DNS impairment a lookup can die at the resolver
 // (ERR_DNS_TIMED_OUT), a failure mode distinct from NXDOMAIN.
 func (v *visit) resolve(target simnet.URLParts, done func(netip.Addr, simnet.NetError)) {
-	if ip, err := netip.ParseAddr(target.Host); err == nil {
+	if ip, ok := simnet.AddrLiteral(target.Host); ok {
 		done(ip, simnet.OK)
 		return
 	}
@@ -177,22 +177,16 @@ func (v *visit) connect(src netlog.Source, target simnet.URLParts, addr netip.Ad
 	if path.Drop {
 		outcome = simnet.DialTimeout
 	}
-	hostport := netip.AddrPortFrom(addr, target.Port).String()
-	key := poolKey(target.Scheme, hostport)
-	if !target.Scheme.WebSocket() && outcome == simnet.DialAccepted {
-		if v.pool == nil {
-			v.pool = map[string]netlog.Source{}
-		}
-		if sock, ok := v.pool[key]; ok {
-			v.rec.Point(v.sched.Now(), netlog.TypeSocketInUse, sock, netlog.Params{}.WithAddress(hostport))
-			done(ep, simnet.OK)
-			return
-		}
+	key := poolKey{target.Scheme.Secure(), netip.AddrPortFrom(addr, target.Port)}
+	pooled := !target.Scheme.WebSocket() && outcome == simnet.DialAccepted
+	if sock, ok := v.b.pool[key]; ok && pooled {
+		v.rec.Point(v.sched.Now(), netlog.TypeSocketInUse, sock, netlog.Params{}.WithAddress(key.addr.String()))
+		done(ep, simnet.OK)
+		return
 	}
 	rtt := path.RTT
 	sockSrc := v.rec.NewSource(netlog.SourceSocket)
-	v.rec.Begin(v.sched.Now(), netlog.TypeTCPConnect, sockSrc,
-		netlog.Params{}.WithAddress(netip.AddrPortFrom(addr, target.Port).String()))
+	v.rec.Begin(v.sched.Now(), netlog.TypeTCPConnect, sockSrc, netlog.Params{}.WithAddress(key.addr.String()))
 	var wait time.Duration
 	switch outcome {
 	case simnet.DialAccepted, simnet.DialRefused:
@@ -210,8 +204,8 @@ func (v *visit) connect(src netlog.Source, target simnet.URLParts, addr netip.Ad
 		}
 		v.rec.End(v.sched.Now(), netlog.TypeTCPConnect, sockSrc, netlog.Params{})
 		if !target.Scheme.Secure() {
-			if !target.Scheme.WebSocket() && v.pool != nil {
-				v.pool[key] = sockSrc
+			if pooled {
+				v.b.pool[key] = sockSrc
 			}
 			done(ep, simnet.OK)
 			return
@@ -235,8 +229,8 @@ func (v *visit) connect(src netlog.Source, target simnet.URLParts, addr netip.Ad
 				return
 			}
 			v.rec.End(v.sched.Now(), netlog.TypeSSLConnect, sockSrc, netlog.Params{})
-			if !target.Scheme.WebSocket() && v.pool != nil {
-				v.pool[key] = sockSrc
+			if pooled {
+				v.b.pool[key] = sockSrc
 			}
 			done(ep, simnet.OK)
 		})

@@ -133,6 +133,18 @@ func portSetSig(name string, class groundtruth.Class, scheme string, set []uint1
 	}}
 }
 
+// The catalogue's constant port sets, built once rather than on every
+// match.
+var (
+	anySignPorts   = []uint16{10531, 31027, 31029}
+	nProtectPorts  = groundtruth.PortRange(14440, 14449)
+	samsungPorts   = append(slices.Clip(anySignPorts), nProtectPorts...)
+	discordPorts   = groundtruth.PortRange(6463, 6472)
+	iwinPorts      = groundtruth.PortRange(2080, 2082)
+	gnwayPorts     = groundtruth.PortRange(38681, 38687)
+	range6880Ports = groundtruth.PortRange(6880, 6889)
+)
+
 // catalogue lists the known signatures, most specific first. It is the
 // mechanized form of the paper's §4.3 attributions and Appendix A.
 var catalogue = []signature{
@@ -148,15 +160,13 @@ var catalogue = []signature{
 	// INCA nProtect Online Security + Hancom AnySign (samsungcard):
 	// HTTPS to 14440-9 and WSS to the AnySign ports (Appendix A).
 	{name: "nprotect-anysign", class: groundtruth.ClassNativeApp, match: func(ev evidence) bool {
-		anySign := []uint16{10531, 31027, 31029}
-		nProtect := groundtruth.PortRange(14440, 14449)
-		return ev.portOverlap(nProtect) >= 3 || (ev.schemes["wss"] && ev.portsWithin(append(anySign, nProtect...)) && ev.portOverlap(anySign) >= 2)
+		return ev.portOverlap(nProtectPorts) >= 3 || (ev.schemes["wss"] && ev.portsWithin(samsungPorts) && ev.portOverlap(anySignPorts) >= 2)
 	}},
 
 	// Discord RPC port walk: ws on 6463-6472, path /?v=1 (cponline.pw,
 	// runeline.com).
 	{name: "discord-rpc", class: groundtruth.ClassNativeApp, match: func(ev evidence) bool {
-		return ev.schemes["ws"] && ev.portsWithin(groundtruth.PortRange(6463, 6472)) && ev.anyPathContains("?v=1")
+		return ev.schemes["ws"] && ev.portsWithin(discordPorts) && ev.anyPathContains("?v=1")
 	}},
 
 	// FACEIT anti-cheat client (ws 28337) vs. the fsist.com.br local
@@ -172,7 +182,7 @@ var catalogue = []signature{
 
 	// iWin games client: /version on 2080-2082.
 	{name: "iwin-client", class: groundtruth.ClassNativeApp, match: func(ev evidence) bool {
-		return ev.portsWithin(groundtruth.PortRange(2080, 2082)) && ev.anyPathContains("/version")
+		return ev.portsWithin(iwinPorts) && ev.anyPathContains("/version")
 	}},
 
 	// Screenleap screen-sharing client.
@@ -212,7 +222,7 @@ var catalogue = []signature{
 
 	// GNWay remote-access client (ws 38681-38687).
 	{name: "gnway-client", class: groundtruth.ClassNativeApp, match: func(ev evidence) bool {
-		return ev.schemes["ws"] && ev.portsWithin(groundtruth.PortRange(38681, 38687)) && ev.portOverlap(groundtruth.PortRange(38681, 38687)) >= 2
+		return ev.schemes["ws"] && ev.portsWithin(gnwayPorts) && ev.portOverlap(gnwayPorts) >= 2
 	}},
 
 	// Local socket.io handshake endpoints that are not file fetches
@@ -224,7 +234,7 @@ var catalogue = []signature{
 	// BitTorrent/Hola-style local client range 6880-6889: the paper
 	// could not determine the purpose (Appendix C).
 	{name: "local-6880-range", class: groundtruth.ClassUnknown, match: func(ev evidence) bool {
-		return ev.portsWithin(groundtruth.PortRange(6880, 6889))
+		return ev.portsWithin(range6880Ports)
 	}},
 }
 

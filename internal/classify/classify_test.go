@@ -247,3 +247,16 @@ func TestCorroborateWithWhois(t *testing.T) {
 		t.Error("nil registry mishandled")
 	}
 }
+
+// The catalogue's port sets are built once: classifying a one-request
+// site allocates only the digest of its evidence. A site on port 6880
+// matches the catalogue's last entry, so every matcher runs.
+func TestSiteAllocs(t *testing.T) {
+	reqs := []store.LocalRequest{{Domain: "a.example", Scheme: "wss", Host: "localhost", Port: 6880, Path: "/", Dest: "localhost"}}
+	if v := Site(reqs); v.Signature != "local-6880-range" {
+		t.Fatalf("verdict %+v", v)
+	}
+	if n := testing.AllocsPerRun(100, func() { Site(reqs) }); n != 5 {
+		t.Errorf("%v allocs per one-request Site, want 5", n)
+	}
+}

@@ -134,21 +134,6 @@ type Log struct {
 // Len returns the number of events in the log.
 func (l *Log) Len() int { return len(l.Events) }
 
-// Sources returns the distinct sources appearing in the log, in order of
-// first appearance.
-func (l *Log) Sources() []Source {
-	seen := make(map[Source]bool, len(l.Events)/4+1)
-	var out []Source
-	for i := range l.Events {
-		s := l.Events[i].Source
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // BySource groups events by their source, preserving event order within
 // each group.
 func (l *Log) BySource() map[Source][]Event {

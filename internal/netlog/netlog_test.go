@@ -347,7 +347,8 @@ func TestBoundedRecorder(t *testing.T) {
 
 func TestFlowStatsMatchesFlows(t *testing.T) {
 	// FlowStats must produce exactly the flows of Flows, aggregate field
-	// for aggregate field, with only Events left nil.
+	// for aggregate field, with only Events left nil, in fresh memory
+	// and in scratch that already folded the same log.
 	r := NewRecorder()
 	for i := 0; i < 40; i++ {
 		src := r.NewSource(SourceURLRequest)
@@ -369,7 +370,16 @@ func TestFlowStatsMatchesFlows(t *testing.T) {
 	r.Begin(time.Millisecond, TypeRequestAlive, br, Params{})
 
 	log := r.Log()
-	full, lite := log.Flows(), log.FlowStats()
+	var scratch FlowScratch
+	log.FlowStats(&scratch)
+	full := log.Flows()
+	for _, lite := range [][]Flow{log.FlowStats(nil), log.FlowStats(&scratch)} {
+		checkFlowStats(t, full, lite)
+	}
+}
+
+func checkFlowStats(t *testing.T, full, lite []Flow) {
+	t.Helper()
 	if len(full) != len(lite) {
 		t.Fatalf("flow counts differ: Flows %d, FlowStats %d", len(full), len(lite))
 	}
@@ -389,6 +399,27 @@ func TestFlowStatsMatchesFlows(t *testing.T) {
 				t.Errorf("flow %d redirect %d differs", i, j)
 			}
 		}
+	}
+}
+
+// With warm scratch, folding a visit without redirects allocates
+// nothing: the crawl's detector runs it on every page.
+func TestFlowStatsAllocs(t *testing.T) {
+	r := NewRecorder()
+	for i := 0; i < 20; i++ {
+		src := r.NewSource(SourceURLRequest)
+		r.Begin(time.Duration(i), TypeRequestAlive, src, Params{}.WithURL("http://127.0.0.1/").WithInitiator("img"))
+		r.Point(time.Duration(i+1), TypeURLRequestError, src, Params{}.WithNetError("ERR_CONNECTION_REFUSED"))
+		r.End(time.Duration(i+2), TypeRequestAlive, src, Params{})
+	}
+	log := r.Log()
+	var scratch FlowScratch
+	if n := testing.AllocsPerRun(100, func() {
+		if len(log.FlowStats(&scratch)) != 20 {
+			t.Fatal("flows lost")
+		}
+	}); n != 0 {
+		t.Errorf("%v allocs per FlowStats with warm scratch, want 0", n)
 	}
 }
 

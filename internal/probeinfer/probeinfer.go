@@ -117,7 +117,7 @@ func FromFindings(findings []localnet.Finding, elapsed func(f localnet.Finding) 
 // and this side channel from the same findings pass.
 func FromLogFindings(log *netlog.Log, findings []localnet.Finding) []Inference {
 	durations := map[string]time.Duration{}
-	for _, flow := range log.Flows() {
+	for _, flow := range log.FlowStats(nil) {
 		durations[flow.URL] = flow.Duration()
 	}
 	return FromFindings(findings, func(f localnet.Finding) time.Duration {

@@ -11,19 +11,17 @@
 // virtual, so a full tri-OS crawl of 100K domains reproduces bit-for-bit.
 package simnet
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Scheduler is a single-threaded discrete-event scheduler over virtual
 // time. Callbacks run in timestamp order (ties broken by scheduling
 // order); a callback may schedule further events, including at the
-// current instant.
+// current instant. The queue is a binary heap of values, so a
+// scheduler that is Reset and reused schedules without allocating.
 type Scheduler struct {
 	now   time.Duration
 	seq   uint64
-	queue eventQueue
+	queue []schedEvent
 }
 
 type schedEvent struct {
@@ -32,18 +30,10 @@ type schedEvent struct {
 	fn  func()
 }
 
-type eventQueue []*schedEvent
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before orders events by (time, scheduling order), a total order.
+func (e *schedEvent) before(o *schedEvent) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*schedEvent)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
 // NewScheduler returns a scheduler positioned at virtual time zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
@@ -54,11 +44,17 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // At schedules fn to run at the given absolute virtual time. Times in the
 // past are clamped to the present.
 func (s *Scheduler) At(t time.Duration, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
 	s.seq++
-	heap.Push(&s.queue, &schedEvent{at: t, seq: s.seq, fn: fn})
+	q := append(s.queue, schedEvent{at: max(t, s.now), seq: s.seq, fn: fn})
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	s.queue = q
 }
 
 // After schedules fn to run after the given delay from the present.
@@ -68,32 +64,47 @@ func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
 // advancing the clock as it goes, then sets the clock to the deadline.
 // Events scheduled beyond the deadline remain queued.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
-	for s.queue.Len() > 0 && s.queue[0].at <= deadline {
-		e := heap.Pop(&s.queue).(*schedEvent)
-		s.now = e.at
-		e.fn()
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
+		s.runNext()
 	}
-	if deadline > s.now {
-		s.now = deadline
-	}
+	s.now = max(s.now, deadline)
 }
 
 // Run executes all queued events to exhaustion.
 func (s *Scheduler) Run() {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(*schedEvent)
-		s.now = e.at
-		e.fn()
+	for len(s.queue) > 0 {
+		s.runNext()
 	}
 }
 
-// Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
+// runNext pops the earliest event, advances the clock to it and runs it.
+func (s *Scheduler) runNext() {
+	q := s.queue
+	e, n := q[0], len(q)-1
+	q[0], q[n] = q[n], schedEvent{}
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if c >= n || !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	s.queue = q
+	s.now = e.at
+	e.fn()
+}
 
-// Reset discards queued events and rewinds the clock to zero, allowing a
-// scheduler to be reused across page visits.
+// Pending reports the number of queued events.
+func (s *Scheduler) Pending() int { return len(s.queue) }
+
+// Reset discards queued events and rewinds the clock to zero, keeping
+// the queue's storage, so that one scheduler serves many page visits.
 func (s *Scheduler) Reset() {
-	s.now = 0
-	s.seq = 0
-	s.queue = s.queue[:0]
+	clear(s.queue)
+	s.now, s.seq, s.queue = 0, 0, s.queue[:0]
 }

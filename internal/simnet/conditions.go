@@ -1,8 +1,8 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 )
@@ -75,10 +75,12 @@ func (p *Path) TransferDelay(bytes int) time.Duration {
 	return d
 }
 
-// Stage is one link in the impairment chain. Implementations must be
-// pure functions of (seed, flow): no shared state, no wall clock.
+// Stage is one link in the impairment chain: Apply returns p with the
+// stage's effect added. Implementations must be pure functions of
+// (seed, flow): no shared state, no wall clock. The path travels by
+// value, so applying a chain allocates nothing.
 type Stage interface {
-	Apply(seed uint64, f Flow, p *Path)
+	Apply(seed uint64, f Flow, p Path) Path
 }
 
 // DNSTimeoutDelay is the default time a resolver-timeout lookup spends
@@ -95,7 +97,7 @@ func (c *Conditions) Path(seed uint64, f Flow) Path {
 		DNSTimeoutAfter: DNSTimeoutDelay,
 	}
 	for _, st := range c.Stages {
-		st.Apply(seed, f, &p)
+		p = st.Apply(seed, f, p)
 	}
 	return p
 }
@@ -141,8 +143,9 @@ type BaseLatency struct {
 }
 
 // Apply implements Stage.
-func (s BaseLatency) Apply(seed uint64, f Flow, p *Path) {
+func (s BaseLatency) Apply(seed uint64, f Flow, p Path) Path {
 	p.RTT += [...]time.Duration{s.Loopback, s.LAN, s.LinkLocal, s.Public}[AddrSpace(f.Dst)]
+	return p
 }
 
 // Jitter adds deterministic per-destination jitter, up to the class
@@ -154,43 +157,59 @@ type Jitter struct {
 }
 
 // Apply implements Stage.
-func (s Jitter) Apply(seed uint64, f Flow, p *Path) {
+func (s Jitter) Apply(seed uint64, f Flow, p Path) Path {
 	max := [...]time.Duration{s.Loopback, s.LAN, s.LinkLocal, s.Public}[AddrSpace(f.Dst)]
 	p.RTT += flowJitter(seed, f.Vantage, f.Dst, max)
+	return p
 }
 
 func flowJitter(seed uint64, vantage string, dst netip.Addr, max time.Duration) time.Duration {
 	if max <= 0 {
 		return 0
 	}
-	h := fnv.New64a()
-	var sb [8]byte
-	for i := 0; i < 8; i++ {
-		sb[i] = byte(seed >> (8 * i))
-	}
-	h.Write(sb[:])
-	h.Write([]byte(vantage))
-	b, _ := dst.MarshalBinary()
-	h.Write(b)
-	return time.Duration(h.Sum64() % uint64(max))
+	return time.Duration(uint64(NewHash(seed).Feed(vantage).FeedAddr(dst)) % uint64(max))
 }
 
 // flowDraw returns a deterministic uniform draw in [0, 1) for one flow
 // and purpose label.
 func flowDraw(seed uint64, label, vantage string, dst netip.Addr, port uint16, host string) float64 {
-	h := fnv.New64a()
-	var sb [8]byte
-	for i := 0; i < 8; i++ {
-		sb[i] = byte(seed >> (8 * i))
+	h := NewHash(seed).Feed(label).Feed(vantage).FeedAddr(dst).Feed(string([]byte{byte(port), byte(port >> 8)})).Feed(host)
+	return float64(h>>11) / float64(1<<53)
+}
+
+// Hash is a seeded 64-bit FNV-1a hash, the source of every
+// deterministic draw in the simulation. Its methods feed it bytes
+// without allocating; the sums equal those of hash/fnv's New64a fed the
+// same bytes.
+type Hash uint64
+
+// NewHash starts a hash with the seed's eight little-endian bytes.
+func NewHash(seed uint64) Hash {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], seed)
+	return Hash(14695981039346656037).Feed(string(b[:]))
+}
+
+// Feed feeds the bytes of s.
+func (h Hash) Feed(s string) Hash {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ Hash(s[i])) * 1099511628211
 	}
-	h.Write(sb[:])
-	h.Write([]byte(label))
-	h.Write([]byte(vantage))
-	b, _ := dst.MarshalBinary()
-	h.Write(b)
-	h.Write([]byte{byte(port), byte(port >> 8)})
-	h.Write([]byte(host))
-	return float64(h.Sum64()>>11) / float64(1<<53)
+	return h
+}
+
+// FeedAddr feeds the bytes of a.MarshalBinary: none for the zero Addr, 4
+// for IPv4, 16 and the zone for IPv6.
+func (h Hash) FeedAddr(a netip.Addr) Hash {
+	if a.Is4() {
+		b := a.As4()
+		return h.Feed(string(b[:]))
+	}
+	if a.Is6() {
+		b := a.As16()
+		return h.Feed(string(b[:])).Feed(a.Zone())
+	}
+	return h
 }
 
 // Loss drops a fraction of connections: a dropped dial times out (after
@@ -204,13 +223,11 @@ type Loss struct {
 }
 
 // Apply implements Stage.
-func (s Loss) Apply(seed uint64, f Flow, p *Path) {
-	if s.Rate <= 0 || !s.Scope.has(AddrSpace(f.Dst)) {
-		return
-	}
-	if flowDraw(seed, "loss", f.Vantage, f.Dst, f.Port, "") < s.Rate {
+func (s Loss) Apply(seed uint64, f Flow, p Path) Path {
+	if s.Rate > 0 && s.Scope.has(AddrSpace(f.Dst)) && flowDraw(seed, "loss", f.Vantage, f.Dst, f.Port, "") < s.Rate {
 		p.Drop = true
 	}
+	return p
 }
 
 // Bandwidth caps the link's transfer rate, adding serialization delay to
@@ -221,13 +238,11 @@ type Bandwidth struct {
 }
 
 // Apply implements Stage.
-func (s Bandwidth) Apply(seed uint64, f Flow, p *Path) {
-	if s.BytesPerSec <= 0 || !s.Scope.has(AddrSpace(f.Dst)) {
-		return
-	}
-	if p.BytesPerSec == 0 || s.BytesPerSec < p.BytesPerSec {
+func (s Bandwidth) Apply(seed uint64, f Flow, p Path) Path {
+	if s.BytesPerSec > 0 && s.Scope.has(AddrSpace(f.Dst)) && (p.BytesPerSec == 0 || s.BytesPerSec < p.BytesPerSec) {
 		p.BytesPerSec = s.BytesPerSec
 	}
+	return p
 }
 
 // DNSImpairment slows lookups and makes a fraction of them die at the
@@ -242,7 +257,7 @@ type DNSImpairment struct {
 }
 
 // Apply implements Stage.
-func (s DNSImpairment) Apply(seed uint64, f Flow, p *Path) {
+func (s DNSImpairment) Apply(seed uint64, f Flow, p Path) Path {
 	if s.ResolveDelay > 0 {
 		p.DNSResolve = s.ResolveDelay
 	}
@@ -256,6 +271,7 @@ func (s DNSImpairment) Apply(seed uint64, f Flow, p *Path) {
 		flowDraw(seed, "dns-timeout", f.Vantage, netip.Addr{}, 0, f.Host) < s.TimeoutRate {
 		p.DNSTimeout = true
 	}
+	return p
 }
 
 // ConnectTimeoutPolicy overrides how long a silently-dropped dial takes
@@ -265,10 +281,11 @@ type ConnectTimeoutPolicy struct {
 }
 
 // Apply implements Stage.
-func (s ConnectTimeoutPolicy) Apply(seed uint64, f Flow, p *Path) {
+func (s ConnectTimeoutPolicy) Apply(seed uint64, f Flow, p Path) Path {
 	if s.Timeout > 0 {
 		p.ConnectTimeout = s.Timeout
 	}
+	return p
 }
 
 // Nominal returns the unimpaired conditions for a vantage: exactly the

@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math/rand/v2"
 	"net/netip"
 	"testing"
 	"time"
@@ -193,5 +196,78 @@ func TestTransferDelayShaping(t *testing.T) {
 	want := legacy + time.Duration(6000)*time.Second/50_000
 	if got := p.TransferDelay(6000); got != want {
 		t.Errorf("shaped TransferDelay = %v, want %v", got, want)
+	}
+}
+
+// fnvSum is the hash/fnv formulation every seeded draw used before
+// Hash: FNV-1a over the seed's little-endian bytes, then the chunks.
+func fnvSum(seed uint64, chunks ...[]byte) uint64 {
+	h := fnv.New64a()
+	var sb [8]byte
+	binary.LittleEndian.PutUint64(sb[:], seed)
+	h.Write(sb[:])
+	for _, c := range chunks {
+		h.Write(c)
+	}
+	return h.Sum64()
+}
+
+// TestHashMatchesFNV holds Hash to hash/fnv on random seeds, part lists,
+// addresses and ports, in the three forms the simulation draws with:
+// websim's zero-separated parts, flowJitter and flowDraw. The goldens
+// cover one seed and never draw loss or DNS timeouts.
+func TestHashMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	randString := func() string {
+		b := make([]byte, rng.IntN(12))
+		for i := range b {
+			b[i] = byte(rng.UintN(256))
+		}
+		return string(b)
+	}
+	addrs := []netip.Addr{{},
+		netip.MustParseAddr("127.0.0.1"), netip.MustParseAddr("203.0.113.9"), netip.MustParseAddr("::1"),
+		netip.MustParseAddr("fe80::1%eth0"), netip.MustParseAddr("::ffff:10.0.0.1"), netip.MustParseAddr("2001:db8::1"),
+	}
+	for i := 0; i < 2000; i++ {
+		seed := rng.Uint64()
+		parts := make([]string, rng.IntN(5))
+		var chunks [][]byte
+		h := NewHash(seed)
+		for j := range parts {
+			parts[j] = randString()
+			chunks = append(chunks, []byte{0}, []byte(parts[j]))
+			h = h.Feed("\x00").Feed(parts[j])
+		}
+		if uint64(h) != fnvSum(seed, chunks...) {
+			t.Fatalf("seed %d parts %q: Hash %x, fnv %x", seed, parts, uint64(h), fnvSum(seed, chunks...))
+		}
+
+		label, vantage, host := randString(), randString(), randString()
+		dst := addrs[rng.IntN(len(addrs))]
+		port := uint16(rng.UintN(1 << 16))
+		max := time.Duration(1 + rng.Int64N(int64(time.Second)))
+		b, _ := dst.MarshalBinary()
+		if got, want := flowJitter(seed, vantage, dst, max), time.Duration(fnvSum(seed, []byte(vantage), b)%uint64(max)); got != want {
+			t.Fatalf("flowJitter(%d, %q, %v, %v) = %v, fnv %v", seed, vantage, dst, max, got, want)
+		}
+		sum := fnvSum(seed, []byte(label), []byte(vantage), b, []byte{byte(port), byte(port >> 8)}, []byte(host))
+		if got, want := flowDraw(seed, label, vantage, dst, port, host), float64(sum>>11)/float64(1<<53); got != want {
+			t.Fatalf("flowDraw(%d, %q, %q, %v, %d, %q) = %v, fnv %v", seed, label, vantage, dst, port, host, got, want)
+		}
+	}
+}
+
+// Hashing and applying the chains allocate nothing: the browser builds
+// a Path for every flow.
+func TestConditionsAllocs(t *testing.T) {
+	dst := netip.MustParseAddr("fe80::1%eth0")
+	for _, name := range []string{"nominal-campus", "satellite"} {
+		c, _ := ProfileByName(name)
+		if n := testing.AllocsPerRun(100, func() {
+			c.Path(7, Flow{Vantage: c.FlowVantage, Dst: dst, Port: 443, Host: "ebay.com"})
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per Path, want 0", name, n)
+		}
 	}
 }

@@ -53,18 +53,17 @@ func (r *Resolver) Len() int {
 // Resolve looks up a canonical host name. IP literals resolve to
 // themselves and, following Chrome's behavior, localhost and every
 // *.localhost name (HostSpace) resolve to the loopback addresses without
-// consulting DNS.
+// consulting DNS. A name's answer is the zone's own record, capped so
+// that appending to it copies: callers must not write to it.
 func (r *Resolver) Resolve(name string) ([]netip.Addr, NetError) {
-	if ip, err := netip.ParseAddr(name); err == nil {
+	if ip, ok := AddrLiteral(name); ok {
 		return []netip.Addr{ip}, OK
 	}
 	if HostSpace(name) == SpaceLoopback {
 		return []netip.Addr{netip.MustParseAddr("127.0.0.1"), netip.IPv6Loopback()}, OK
 	}
-	if addrs, ok := r.zone[name]; ok && len(addrs) > 0 {
-		out := make([]netip.Addr, len(addrs))
-		copy(out, addrs)
-		return out, OK
+	if addrs := r.zone[name]; len(addrs) > 0 {
+		return addrs[:len(addrs):len(addrs)], OK
 	}
 	return nil, ErrNameNotResolved
 }

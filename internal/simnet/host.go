@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"net/url"
@@ -18,8 +19,13 @@ type URLParts struct {
 }
 
 // SplitURL splits an absolute URL. It rejects URLs with no scheme or no
-// host and ports above 65535; it accepts every scheme.
+// host and ports above 65535; it accepts every scheme. The shapes
+// websim and realnet emit split without allocating (splitPlain); every
+// other URL goes through net/url.
 func SplitURL(raw string) (URLParts, error) {
+	if p, ok := splitPlain(raw); ok {
+		return p, nil
+	}
 	u, err := url.Parse(raw)
 	if err != nil {
 		return URLParts{}, err
@@ -40,6 +46,40 @@ func SplitURL(raw string) (URLParts, error) {
 		p.Path = "/"
 	}
 	return p, nil
+}
+
+// Bytes splitPlain passes through: a lowercase scheme, a host name or
+// dotted decimal, and the path bytes net/url never escapes.
+const (
+	lowerChars = "abcdefghijklmnopqrstuvwxyz"
+	hostChars  = lowerChars + "0123456789-._"
+	pathChars  = hostChars + "ABCDEFGHIJKLMNOPQRSTUVWXYZ~$&+,/:;=@"
+)
+
+// splitPlain splits, without allocating, a URL whose every part is
+// already what SplitURL returns: a lowercase scheme, a canonical host,
+// an optional decimal port, and a path of pathChars with a query of
+// printable ASCII but '#', which RequestURI returns unchanged. Path is
+// then a substring of raw. It reports false for every other URL.
+func splitPlain(raw string) (URLParts, bool) {
+	scheme, rest, _ := strings.Cut(raw, "://")
+	n := strings.IndexByte(rest, '/')
+	if n < 0 {
+		n = len(rest)
+	}
+	host, port, hasPort := strings.Cut(rest[:n], ":")
+	p := URLParts{Scheme: Scheme(scheme), Host: host, Port: Scheme(scheme).DefaultPort(), Path: cmp.Or(rest[n:], "/")}
+	if hasPort {
+		v, err := strconv.ParseUint(port, 10, 16)
+		if err != nil {
+			return URLParts{}, false
+		}
+		p.Port = uint16(v)
+	}
+	path, query, _ := strings.Cut(p.Path, "?")
+	return p, scheme != "" && strings.Trim(scheme, lowerChars) == "" && host != "" &&
+		strings.Trim(host, hostChars) == "" && CanonicalHost(host) == host && strings.Trim(path, pathChars) == "" &&
+		!strings.ContainsFunc(query, func(c rune) bool { return c <= ' ' || c >= 0x7f || c == '#' })
 }
 
 // CanonicalHost returns a URL host in canonical form: ASCII lowercased,
@@ -105,6 +145,18 @@ func parseIP(s string) (netip.Addr, bool) {
 		v, s = v<<bits|uint32(n), rest
 	}
 	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}), parts <= 4
+}
+
+// AddrLiteral parses a host as netip.ParseAddr does, for hosts that
+// are IP literals. Names, which parseIP rejects without allocating,
+// never reach netip, whose parse error allocates; parseIP accepts every
+// string netip.ParseAddr does, so the answers are netip's.
+func AddrLiteral(h string) (netip.Addr, bool) {
+	if _, ok := parseIP(h); !ok {
+		return netip.Addr{}, false
+	}
+	a, err := netip.ParseAddr(h)
+	return a, err == nil
 }
 
 // ipv4Number parses one WHATWG IPv4 number: decimal, 0x-prefixed hex or

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"net/netip"
 	"net/url"
 	"strconv"
@@ -142,7 +143,75 @@ func FuzzCanonicalHost(f *testing.F) {
 		if headNonPublic(h) && HostSpace(canon) == SpacePublic {
 			t.Fatalf("%q was local before canonicalization, %q is public", h, canon)
 		}
+		for _, s := range []string{h, canon} {
+			a, ok := AddrLiteral(s)
+			b, err := netip.ParseAddr(s)
+			if ok != (err == nil) || a != b {
+				t.Fatalf("AddrLiteral(%q) = %v, %v; netip.ParseAddr %v, %v", s, a, ok, b, err)
+			}
+		}
 	})
+}
+
+// splitURLReference is SplitURL before its fast path: net/url and
+// CanonicalHost for every input. FuzzSplitURL holds SplitURL to it.
+func splitURLReference(raw string) (URLParts, error) {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return URLParts{}, err
+	}
+	p := URLParts{Scheme: Scheme(u.Scheme), Host: CanonicalHost(u.Hostname()), Path: u.RequestURI()}
+	if p.Scheme == "" || p.Host == "" {
+		return URLParts{}, fmt.Errorf("simnet: no scheme or host in %q", raw)
+	}
+	p.Port = p.Scheme.DefaultPort()
+	if s := u.Port(); s != "" {
+		n, err := strconv.ParseUint(s, 10, 16)
+		if err != nil {
+			return URLParts{}, fmt.Errorf("simnet: bad port %q in %q", s, raw)
+		}
+		p.Port = uint16(n)
+	}
+	if p.Path == "" {
+		p.Path = "/"
+	}
+	return p, nil
+}
+
+// plainURLs are the shapes websim and realnet emit: every one takes
+// SplitURL's fast path.
+var plainURLs = []string{
+	"https://ebay.com/",
+	"http://ebay.com/login",
+	"https://cdn3.webstatic.example/assets/0a3f1.js",
+	"https://h-ebay.online-metrix.example/fp/tags.js?org_id=1a2b",
+	"wss://localhost:3389/",
+	"ws://localhost:6463/?v=1",
+	"https://localhost:14440/?code=x1f3a&dummy=x1f3a",
+	"http://127.0.0.1/wp-content/themes/x.css",
+	"http://127.0.0.1:49152/crashpad/ping",
+	"http://10.10.34.36/",
+	"http://192.168.1.8:8080/x1f3a.jpg",
+	"https://update.googleapis.chrome.internal/service/update2",
+	"http://127.0.0.1:41273/probe",
+}
+
+// The fast path allocates nothing: the browser splits every request
+// URL and the detector every flow URL.
+func TestSplitURLAllocs(t *testing.T) {
+	for _, raw := range plainURLs {
+		want, err := splitURLReference(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if got, err := SplitURL(raw); err != nil || got != want {
+				t.Fatalf("SplitURL(%q) = %+v, %v; want %+v", raw, got, err, want)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per split, want 0", raw, n)
+		}
+	}
 }
 
 func FuzzSplitURL(f *testing.F) {
@@ -151,8 +220,25 @@ func FuzzSplitURL(f *testing.F) {
 	}
 	f.Add("wss://localhost:5939/a?b=c")
 	f.Add("http://[fe80::1%25en0]:99999/")
+	for _, raw := range plainURLs {
+		f.Add(raw)
+	}
+	for _, raw := range []string{
+		"http://localhost/a%20b", "http://localhost/%zz", "http://localhost/a?b=%zz",
+		"http://localhost:8080/a#frag", "http://localhost/#", "http://user:pw@localhost:5939/",
+		"HTTP://localhost/", "Https://EBAY.com/", "http://h:/", "http://localhost?x=1",
+		"http://[fe80::1%25eth0]:8080/", "http://localhost/a?", "http://localhost/a??b",
+		"http://localhost//x", "http://localhost/a b", "http://localhost/a!b", "http://h:080/",
+		"http://h:65535/", "http://h:65536/", "http://h:00000000080/", "ws://a_b.example/",
+	} {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		p, err := SplitURL(raw)
+		ref, refErr := splitURLReference(raw)
+		if (err == nil) != (refErr == nil) || p != ref {
+			t.Fatalf("SplitURL(%q) = %+v, %v; net/url reference %+v, %v", raw, p, err, ref, refErr)
+		}
 		if err != nil {
 			return
 		}

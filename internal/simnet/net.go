@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,20 +152,12 @@ type TLSInfo struct {
 // ValidFor reports whether the certificate matches the given host name.
 // A "*." name matches exactly one leading label, per RFC 6125.
 func (t *TLSInfo) ValidFor(host string) bool {
-	names := make([]string, 0, 1+len(t.SubjectAltNames))
-	names = append(names, t.CommonName)
-	names = append(names, t.SubjectAltNames...)
-	for _, n := range names {
-		if n == host {
-			return true
-		}
-		if rest, ok := strings.CutPrefix(n, "*."); ok {
-			if i := strings.IndexByte(host, '.'); i > 0 && host[i+1:] == rest {
-				return true
-			}
-		}
+	matches := func(n string) bool {
+		rest, wild := strings.CutPrefix(n, "*.")
+		i := strings.IndexByte(host, '.')
+		return n == host || wild && i > 0 && host[i+1:] == rest
 	}
-	return false
+	return matches(t.CommonName) || slices.ContainsFunc(t.SubjectAltNames, matches)
 }
 
 // Endpoint is what a dialer finds at an (address, port): a transport
@@ -180,11 +173,6 @@ type Endpoint struct {
 // machine's localhost table, and its LAN inventory all implement it.
 type Locator interface {
 	Locate(addr netip.Addr, port uint16) Endpoint
-}
-
-type endpointKey struct {
-	addr netip.Addr
-	port uint16
 }
 
 // Network is the public Internet: a set of bound endpoints plus DNS and
@@ -210,7 +198,7 @@ type Network struct {
 	online atomic.Bool
 
 	mu        sync.Mutex // guards writes to endpoints/hosts during build
-	endpoints map[endpointKey]Endpoint
+	endpoints map[netip.AddrPort]Endpoint
 	hosts     map[netip.Addr]bool
 }
 
@@ -220,7 +208,7 @@ func NewNetwork(seed uint64) *Network {
 	n := &Network{
 		Resolver:  NewResolver(),
 		Seed:      seed,
-		endpoints: make(map[endpointKey]Endpoint),
+		endpoints: make(map[netip.AddrPort]Endpoint),
 		hosts:     make(map[netip.Addr]bool),
 	}
 	n.online.Store(true)
@@ -232,7 +220,7 @@ func NewNetwork(seed uint64) *Network {
 func (n *Network) Bind(addr netip.Addr, port uint16, ep Endpoint) {
 	n.mu.Lock()
 	n.hosts[addr] = true
-	n.endpoints[endpointKey{addr, port}] = ep
+	n.endpoints[netip.AddrPortFrom(addr, port)] = ep
 	n.mu.Unlock()
 }
 
@@ -257,7 +245,7 @@ func (n *Network) NumHosts() int {
 
 // Locate implements Locator for public destinations.
 func (n *Network) Locate(addr netip.Addr, port uint16) Endpoint {
-	if ep, ok := n.endpoints[endpointKey{addr, port}]; ok {
+	if ep, ok := n.endpoints[netip.AddrPortFrom(addr, port)]; ok {
 		return ep
 	}
 	if n.hosts[addr] {

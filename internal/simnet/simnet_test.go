@@ -2,6 +2,9 @@ package simnet
 
 import (
 	"net/netip"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -89,6 +92,101 @@ func TestSchedulerReset(t *testing.T) {
 	}
 }
 
+// Callbacks that schedule at the current instant, or in the past, run
+// after everything already queued for that instant, in the order they
+// were scheduled: the order is (time, scheduling order).
+func TestSchedulerSameInstantOrder(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	log := func(name string) func() { return func() { order = append(order, name) } }
+	s.At(time.Second, func() {
+		order = append(order, "a")
+		s.At(s.Now(), log("a1"))
+		s.After(0, log("a2"))
+		s.At(0, log("a3")) // clamped to now
+	})
+	s.At(time.Second, log("b"))
+	s.At(2*time.Second, log("d"))
+	s.At(time.Second, log("c"))
+	s.Run()
+	if got := strings.Join(order, " "); got != "a b c a1 a2 a3 d" {
+		t.Errorf("order = %s, want a b c a1 a2 a3 d", got)
+	}
+}
+
+// The value heap runs any schedule as a stable sort by time would, and
+// RunUntil leaves the events past its deadline queued, in order.
+func TestSchedulerMatchesStableSort(t *testing.T) {
+	f := func(ats []uint8, deadline uint8) bool {
+		s := NewScheduler()
+		var got []int
+		for i, at := range ats {
+			s.At(time.Duration(at%32)*time.Millisecond, func() { got = append(got, i) })
+		}
+		want := make([]int, len(ats))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return ats[want[i]]%32 < ats[want[j]]%32 })
+		cut := time.Duration(deadline%40) * time.Millisecond
+		s.RunUntil(cut)
+		ran := len(got)
+		if s.Now() != cut || s.Pending() != len(ats)-ran {
+			return false
+		}
+		for _, i := range got {
+			if time.Duration(ats[i]%32)*time.Millisecond > cut {
+				return false
+			}
+		}
+		s.Run()
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// A Reset scheduler drops what was queued and runs a new schedule from
+// time zero, in order.
+func TestSchedulerResetReuse(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	for i := 0; i < 50; i++ {
+		s.At(time.Duration(i)*time.Second, func() { order = append(order, "old") })
+	}
+	s.RunUntil(10 * time.Second)
+	s.Reset()
+	order = nil
+	s.At(2*time.Second, func() { order = append(order, "second") })
+	s.At(time.Second, func() { order = append(order, "first") })
+	s.At(2*time.Second, func() { order = append(order, "third") })
+	s.Run()
+	if got := strings.Join(order, " "); got != "first second third" || s.Now() != 2*time.Second {
+		t.Errorf("after Reset: order %q at %v", got, s.Now())
+	}
+}
+
+// Once its queue has grown, a scheduler schedules and runs without
+// allocating: the browser reuses one per worker across visits.
+func TestSchedulerAllocs(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		s.At(time.Duration(i), fn)
+	}
+	s.Run()
+	if n := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		for i := 0; i < 64; i++ {
+			s.At(time.Duration(64-i), fn)
+		}
+		s.RunUntil(time.Second)
+	}); n != 0 {
+		t.Errorf("%v allocs per 64 warm At calls and run, want 0", n)
+	}
+}
+
 func TestResolverLocalhost(t *testing.T) {
 	r := NewResolver()
 	addrs, err := r.Resolve("localhost")
@@ -123,11 +221,13 @@ func TestResolverAddRemove(t *testing.T) {
 	if err.IsFailure() || len(addrs) != 1 || addrs[0] != ip {
 		t.Fatalf("resolve after Add: %v, %v", addrs, err)
 	}
-	// Returned slice must be a copy.
-	addrs[0] = netip.MustParseAddr("198.51.100.1")
-	again, _ := r.Resolve("ebay.com")
-	if again[0] != ip {
-		t.Error("Resolve returned aliased storage")
+	// The answer is the zone's record, capped: appending to it must
+	// not reach the zone, even after the record grows.
+	r.Add("ebay.com", netip.MustParseAddr("203.0.113.8"))
+	addrs, _ = r.Resolve("ebay.com")
+	_ = append(addrs, netip.MustParseAddr("198.51.100.1"))
+	if again, _ := r.Resolve("ebay.com"); len(again) != 2 || cap(again) != 2 || again[0] != ip || again[1] != netip.MustParseAddr("203.0.113.8") {
+		t.Errorf("Resolve after an append to an answer = %v", again)
 	}
 	r.Remove("ebay.com")
 	if _, err := r.Resolve("ebay.com"); !err.IsFailure() {

@@ -2,6 +2,7 @@ package websim
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/knockandtalk/knockandtalk/internal/groundtruth"
 	"github.com/knockandtalk/knockandtalk/internal/simnet"
@@ -79,7 +80,7 @@ const RawHTMLHeader = "X-Knockandtalk-Raw-HTML"
 func multiPageService(pages map[string]*webdoc.Page) simnet.Service {
 	return simnet.ServiceFunc(func(req *simnet.Request) *simnet.Response {
 		path := req.Path
-		if i := indexAny(path, "?#"); i >= 0 {
+		if i := strings.IndexAny(path, "?#"); i >= 0 {
 			path = path[:i]
 		}
 		page, ok := pages[path]
@@ -102,15 +103,4 @@ func multiPageService(pages map[string]*webdoc.Page) simnet.Service {
 			Document:    page,
 		}
 	})
-}
-
-func indexAny(s, chars string) int {
-	for i := 0; i < len(s); i++ {
-		for j := 0; j < len(chars); j++ {
-			if s[i] == chars[j] {
-				return i
-			}
-		}
-	}
-	return -1
 }

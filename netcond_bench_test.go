@@ -29,7 +29,7 @@ type fusedNominal struct {
 	v simnet.Vantage
 }
 
-func (s fusedNominal) Apply(seed uint64, f simnet.Flow, p *simnet.Path) {
+func (s fusedNominal) Apply(seed uint64, f simnet.Flow, p simnet.Path) simnet.Path {
 	var base, jmax time.Duration
 	switch {
 	case f.Dst.IsLoopback():
@@ -51,6 +51,7 @@ func (s fusedNominal) Apply(seed uint64, f simnet.Flow, p *simnet.Path) {
 	b, _ := f.Dst.MarshalBinary()
 	h.Write(b)
 	p.RTT += base + time.Duration(h.Sum64()%uint64(jmax))
+	return p
 }
 
 // BenchmarkNetcondOverhead visits one crawl leg serially through both

@@ -281,12 +281,12 @@ func TestCDNsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < cdnCount; i++ {
-		addrs, nerr := w.Net.Resolver.Resolve(cdnHost(i))
+		addrs, nerr := w.Net.Resolver.Resolve(cdnHosts[i])
 		if nerr.IsFailure() {
-			t.Fatalf("%s unresolvable", cdnHost(i))
+			t.Fatalf("%s unresolvable", cdnHosts[i])
 		}
 		if ep := w.Net.Locate(addrs[0], 443); ep.Outcome != simnet.DialAccepted {
-			t.Errorf("%s not accepting", cdnHost(i))
+			t.Errorf("%s not accepting", cdnHosts[i])
 		}
 	}
 	if !w.Net.Ping(netip.MustParseAddr("8.8.8.8")) {

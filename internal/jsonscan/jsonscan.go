@@ -18,10 +18,14 @@
 // hands the input to encoding/json, which keeps defining the format. A
 // fast path built from these primitives therefore only ever returns what
 // encoding/json would, as long as its caller's shape checks hold too.
+//
+// RawObject is the one primitive that takes any valid JSON: it walks an
+// object through the whole JSON grammar once, finding its end and
+// checking it in the same pass, and keeps the bytes verbatim as
+// json.RawMessage would.
 package jsonscan
 
 import (
-	"encoding/json"
 	"math"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -298,39 +302,221 @@ func (s *Scanner) Bool() (v, ok bool) {
 	return false, false
 }
 
-// RawObject returns the JSON object at the cursor verbatim. A bracket
-// scan that skips strings finds where it ends, and one json.Valid pass
-// over exactly that range checks it: a range that starts with '{', ends
-// with its matching '}' and is valid JSON is the one value encoding/json
-// would have taken. The bytes alias the input.
+// RawObject returns the JSON object at the cursor verbatim, with the
+// cursor after its closing brace. One recursive-descent pass over the
+// JSON grammar finds where the object ends and checks it, accepting
+// exactly what json.Valid accepts over that range: whitespace between
+// tokens, every escape, the full number grammar, true, false and null,
+// and arrays and objects nested up to encoding/json's limit of
+// maxDepth levels. Like json.Valid it leaves invalid UTF-8 inside
+// strings alone, as json.RawMessage keeps it. The bytes alias the
+// input.
 func (s *Scanner) RawObject() ([]byte, bool) {
 	b := s.b
 	start := s.i
 	if start >= len(b) || b[start] != '{' {
 		return nil, false
 	}
-	depth := 0
-	for i := start; i < len(b); i++ {
+	end := object(b, start, 1)
+	if end < 0 {
+		return nil, false
+	}
+	s.i = end
+	return b[start:end], true
+}
+
+// maxDepth is encoding/json's nesting limit: it rejects arrays and
+// objects nested more than this many levels deep.
+const maxDepth = 10000
+
+// The validator's functions each take the input and the offset of the
+// token they check, and return the offset just past it, or -1 if the
+// bytes there are not that token. depth counts the arrays and objects
+// open around the token, itself included.
+
+// value checks one JSON value.
+func value(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
+	}
+	switch c := b[i]; {
+	case c == '"':
+		return str(b, i)
+	case c == '{':
+		return object(b, i, depth+1)
+	case c == '[':
+		return array(b, i, depth+1)
+	case c == '-' || '0' <= c && c <= '9':
+		return number(b, i)
+	case c == 't':
+		return literal(b, i, "true")
+	case c == 'f':
+		return literal(b, i, "false")
+	case c == 'n':
+		return literal(b, i, "null")
+	}
+	return -1
+}
+
+// object checks an object whose '{' is at b[i].
+func object(b []byte, i, depth int) int {
+	if depth > maxDepth {
+		return -1
+	}
+	i = space(b, i+1)
+	if i < len(b) && b[i] == '}' {
+		return i + 1
+	}
+	for {
+		if i >= len(b) || b[i] != '"' {
+			return -1
+		}
+		if i = str(b, i); i < 0 {
+			return -1
+		}
+		if i = space(b, i); i >= len(b) || b[i] != ':' {
+			return -1
+		}
+		if i = value(b, space(b, i+1), depth); i < 0 {
+			return -1
+		}
+		if i = space(b, i); i >= len(b) {
+			return -1
+		}
 		switch b[i] {
-		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
-			}
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-			if depth == 0 {
-				raw := b[start : i+1]
-				if !json.Valid(raw) {
-					return nil, false
-				}
-				s.i = i + 1
-				return raw, true
-			}
+		case '}':
+			return i + 1
+		case ',':
+			i = space(b, i+1)
+		default:
+			return -1
 		}
 	}
-	return nil, false
+}
+
+// array checks an array whose '[' is at b[i].
+func array(b []byte, i, depth int) int {
+	if depth > maxDepth {
+		return -1
+	}
+	i = space(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return i + 1
+	}
+	for {
+		if i = value(b, i, depth); i < 0 {
+			return -1
+		}
+		if i = space(b, i); i >= len(b) {
+			return -1
+		}
+		switch b[i] {
+		case ']':
+			return i + 1
+		case ',':
+			i = space(b, i+1)
+		default:
+			return -1
+		}
+	}
+}
+
+// plain marks the bytes a string holds without an escape: everything
+// but '"', '\\' and the control bytes below 0x20.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < 256; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str checks a string whose opening quote is at b[i].
+func str(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		if plain[b[i]] {
+			continue
+		}
+		switch b[i] {
+		case '"':
+			return i + 1
+		case '\\':
+			if i++; i == len(b) {
+				return -1
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if _, ok := hex4(b[i+1:]); !ok {
+					return -1
+				}
+				i += 4
+			default:
+				return -1
+			}
+		default: // a control byte
+			return -1
+		}
+	}
+	return -1
+}
+
+// number checks a number: an optional minus, an integer part without a
+// leading zero, an optional fraction and an optional exponent.
+func number(b []byte, i int) int {
+	if b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if i++; i == len(b) || b[i] < '0' || b[i] > '9' {
+			return -1
+		}
+		i = digits(b, i)
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i == len(b) || b[i] < '0' || b[i] > '9' {
+			return -1
+		}
+		i = digits(b, i)
+	}
+	return i
+}
+
+// digits skips the decimal digits from b[i].
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// literal checks that b continues at i with lit.
+func literal(b []byte, i int, lit string) int {
+	if len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
+		return -1
+	}
+	return i + len(lit)
+}
+
+// space skips JSON whitespace from b[i].
+func space(b []byte, i int) int {
+	for i < len(b) {
+		switch b[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
 }

@@ -19,6 +19,7 @@ import (
 	"github.com/knockandtalk/knockandtalk/internal/analysis"
 	"github.com/knockandtalk/knockandtalk/internal/classify"
 	"github.com/knockandtalk/knockandtalk/internal/groundtruth"
+	"github.com/knockandtalk/knockandtalk/internal/pipeline"
 	"github.com/knockandtalk/knockandtalk/internal/simnet"
 	"github.com/knockandtalk/knockandtalk/internal/store"
 )
@@ -112,10 +113,24 @@ func (r AuditRow) Blocked() int { return r.BlockedInsecure + r.BlockedNoOptIn }
 // native-application communication find an opted-in server; anti-abuse
 // scanners, developer-error remnants, and unknown probes do not.
 func Audit(st *store.Store, crawl groundtruth.CrawlID, policy Policy) []AuditRow {
-	// Page security context per (os, domain).
+	// Page security context per (os, domain), looked up only for the
+	// domains that made local requests, from the index's per-domain
+	// pages. The last page of a pair in store order wins; a pair with
+	// no page reads as insecure.
+	ix := pipeline.IndexFor(st)
 	secure := map[[2]string]bool{}
-	for _, p := range st.Pages(func(p *store.PageRecord) bool { return p.Crawl == string(crawl) }) {
-		secure[[2]string{p.OS, p.Domain}] = strings.HasPrefix(p.URL, "https://")
+	looked := map[string]bool{}
+	pageSecure := func(osName, domain string) bool {
+		if !looked[domain] {
+			looked[domain] = true
+			pages := ix.Site(domain).Pages
+			for i := range pages {
+				if p := &pages[i]; p.Crawl == string(crawl) {
+					secure[[2]string{p.OS, p.Domain}] = strings.HasPrefix(p.URL, "https://")
+				}
+			}
+		}
+		return secure[[2]string{osName, domain}]
 	}
 	rows := map[groundtruth.Class]*AuditRow{}
 	for _, dest := range []string{"localhost", "lan"} {
@@ -130,7 +145,7 @@ func Audit(st *store.Store, crawl groundtruth.CrawlID, policy Policy) []AuditRow
 			optIn := verdict.Class == groundtruth.ClassNativeApp
 			for _, req := range site.Requests {
 				row.Requests++
-				d := policy.Evaluate(secure[[2]string{req.OS, req.Domain}], optIn)
+				d := policy.Evaluate(pageSecure(req.OS, req.Domain), optIn)
 				switch {
 				case d.Allowed:
 					row.Allowed++

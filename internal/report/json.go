@@ -84,9 +84,7 @@ func SummaryJSON(st *store.Store) JSONSummary {
 	for _, r := range statRows {
 		crawlSet[string(r.Crawl)] = true
 	}
-	for _, l := range st.Locals(nil) {
-		crawlSet[l.Crawl] = true
-	}
+	st.ForEachLocal(func(l *store.LocalRequest) { crawlSet[l.Crawl] = true })
 	crawls := make([]string, 0, len(crawlSet))
 	for c := range crawlSet {
 		crawls = append(crawls, c)

@@ -19,8 +19,8 @@ import (
 //
 //   - each record's known keys, in struct order, each at most once;
 //   - the integers, booleans and strings jsonscan accepts;
-//   - a retained NetLog capture as one JSON object, checked by one
-//     json.Valid pass over its byte range and kept verbatim, as
+//   - a retained NetLog capture as one JSON object, found and checked
+//     in one pass by jsonscan's RawObject and kept verbatim, as
 //     json.RawMessage keeps it.
 //
 // Any other byte (whitespace, an unknown or repeated key, null, a float,
